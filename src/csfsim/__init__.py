@@ -10,9 +10,9 @@ metrics (`perf`), and a network config grammar plus CLI (`netconfig`,
 `cli`).
 """
 
-from .codec import (CsfEntry, CsfFormatError, CsfPosition, CsfRangeError,
-                    CsfStream, absolute_indices, decode_csf, deserialize_csf,
-                    encode_csf, quantize_shift, serialize_csf, stack_filters)
+from .codec import (CsfFormatError, CsfRangeError, CsfStream, decode_csf,
+                    deserialize_csf, encode_csf, quantize_shift, serialize_csf,
+                    stack_filters)
 from .dense import (as_f32, dense_conv, dense_fc, pad_channels,
                     random_sparse_filters)
 from .engine import (EngineContext, TraceCounters, run_conv, run_fc,
@@ -34,9 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BASELINE_PARAMS",
     "ConfigError",
-    "CsfEntry",
     "CsfFormatError",
-    "CsfPosition",
     "CsfRangeError",
     "CsfStream",
     "DivisionPlan",
@@ -49,7 +47,6 @@ __all__ = [
     "PlanError",
     "StrategyComparison",
     "TraceCounters",
-    "absolute_indices",
     "as_f32",
     "build_table",
     "compare_strategies",

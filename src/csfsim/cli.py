@@ -118,10 +118,7 @@ def _cmd_encode(args) -> int:
     bank = read_weight_bank(args.weights)
     quantized = args.quantize_shift is not None
     if quantized:
-        exp_min, exp_max = args.quantize_shift
-        if exp_min > exp_max:
-            raise ValueError(f"exponent range [{exp_min}, {exp_max}] is empty")
-        bank = quantize_shift(bank, exp_min, exp_max)
+        bank = quantize_shift(bank, *args.quantize_shift)
     stacked = stack_filters(bank, 0, bank.shape[0])
     stream = encode_csf(stacked, args.profile, quantized=quantized)
     payload = serialize_csf(stream)

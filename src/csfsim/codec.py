@@ -7,7 +7,8 @@ index per input element for fully connected) it stores a count followed by
 filters at that position. Filter indices ascend within a position and are
 delta coded: the first entry's relative index is its absolute filter index,
 each later entry's is the gap from the previous nonzero filter. Zero weights
-are never encoded.
+are never encoded. In memory a `CsfStream` holds the same stream as three
+flat arrays: the counts, then every entry's relative index and weight.
 
 Byte layout (little endian throughout):
 
@@ -25,7 +26,6 @@ Byte layout (little endian throughout):
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -36,6 +36,8 @@ VERSION = 1
 HEADER_LEN = 24
 _PROFILES = {"fc": 0, "conv": 1}
 _PROFILE_NAMES = {code: name for name, code in _PROFILES.items()}
+# one packed (relative index, weight) pair as it sits in the byte form
+_ENTRY = np.dtype([("rel", "<u2"), ("weight", "<f4")])
 
 
 class CsfFormatError(ValueError):
@@ -46,55 +48,106 @@ class CsfRangeError(ValueError):
     """A count or index exceeds what the format's fields can carry."""
 
 
-@dataclass(frozen=True)
-class CsfEntry:
-    """One nonzero weight: filter-index delta plus the value itself."""
-
-    rel_index: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class CsfPosition:
-    """All nonzero entries at one weight position, in ascending filter order."""
-
-    entries: tuple[CsfEntry, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
+def _u16_array(values, what: str) -> np.ndarray:
+    """A fresh 1-D uint16 copy of integer values that fit the u16 field."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise CsfFormatError(f"{what} must be a 1-D integer array")
+    if arr.size and (arr.min() < 0 or arr.max() > 0xFFFF):
+        raise CsfRangeError(f"{what} value outside the u16 field")
+    return arr.astype(np.uint16)
 
 
-@dataclass(frozen=True)
+def _count_field_mask(offsets: np.ndarray) -> np.ndarray:
+    """Marks the bytes of each position's u16 count in the stream body."""
+    mask = np.zeros(2 * (offsets.size - 1) + 6 * int(offsets[-1]), bool)
+    starts = 2 * np.arange(offsets.size - 1) + 6 * offsets[:-1]
+    mask[starts] = mask[starts + 1] = True
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
 class CsfStream:
-    """A stack of filters encoded position by position.
+    """A stack of filters encoded position by position, as flat arrays.
 
-    For the conv profile position_count is channels * kernel**2 and positions
-    run channel-major, kernel row, kernel column. For the fc profile the
-    kernel extent is 1 and the flattened input length is carried in the
-    channels field, so position_count == channels.
+    `counts` holds one entry count per position; `rel` and `weights` hold
+    every entry in stream order. Conv streams have channels * kernel**2
+    positions (channel-major, kernel row, kernel column); fc streams carry
+    the flattened input length in channels, with kernel 1. Construction
+    validates everything once and derives `offsets` (position p's entries
+    are offsets[p]:offsets[p + 1]) and absolute filter `indices`, so every
+    stream that exists can be serialized, decoded and run. The arrays are
+    read-only copies.
     """
 
     profile: str
     filters: int
     channels: int
     kernel: int
-    position_count: int
-    positions: tuple[CsfPosition, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    rel: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     quantized: bool = False
+    offsets: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.profile not in _PROFILES:
             raise CsfFormatError(f"unknown profile {self.profile!r}")
-        if len(self.positions) != self.position_count:
+        if not all(0 <= v <= 0xFFFFFFFF
+                   for v in (self.filters, self.channels, self.kernel)):
+            raise CsfRangeError("filters, channels or kernel outside u32")
+        counts = _u16_array(self.counts, "counts")
+        rel = _u16_array(self.rel, "rel")
+        weights = np.array(self.weights, dtype=np.float32)
+        expected = self.channels * (
+            self.kernel ** 2 if self.profile == "conv" else 1)
+        if counts.size != expected:
+            raise CsfFormatError(f"position count {counts.size} does not "
+                                 f"match shape (expected {expected})")
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        if weights.shape != rel.shape or rel.size != offsets[-1]:
             raise CsfFormatError(
-                f"position_count {self.position_count} but "
-                f"{len(self.positions)} positions present"
-            )
+                f"counts promise {offsets[-1]} entries but rel holds "
+                f"{rel.size} and weights {weights.shape}")
+        rows = np.repeat(np.arange(counts.size), counts)
+        later = np.flatnonzero(rows[1:] == rows[:-1]) + 1
+        bad = later[rel[later] == 0]
+        if bad.size:
+            raise CsfFormatError(
+                f"non-ascending filter index at position {rows[bad[0]]}")
+        # undo the delta coding: a running sum restarted at each position
+        running = np.concatenate(([0], np.cumsum(rel, dtype=np.int64)))
+        indices = running[1:] - running[offsets[rows]]
+        bad = np.flatnonzero(indices >= self.filters)
+        if bad.size:
+            raise CsfFormatError(f"filter index {indices[bad[0]]} outside "
+                                 f"stack of {self.filters} at position "
+                                 f"{rows[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            raise CsfFormatError(f"non-finite weight at position {rows[bad[0]]}")
+        for name, arr in (("counts", counts), ("rel", rel),
+                          ("weights", weights), ("offsets", offsets),
+                          ("indices", indices)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def position_count(self) -> int:
+        return self.counts.size
 
     @property
     def total_nnz(self) -> int:
-        return sum(p.count for p in self.positions)
+        return self.rel.size
+
+    def __eq__(self, other):
+        if not isinstance(other, CsfStream):
+            return NotImplemented
+        # the header first, then the arrays by value
+        return all(np.array_equal(getattr(self, n), getattr(other, n))
+                   for n in ("profile", "filters", "channels", "kernel",
+                             "quantized", "counts", "rel", "weights"))
 
 
 def stack_filters(bank: np.ndarray, start: int, size: int) -> np.ndarray:
@@ -115,6 +168,7 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
 
     Conv stacks must be (channels, kernel, kernel, m); fc stacks may carry
     any spatial shape, which is flattened to one position per input element.
+    Non-finite weights raise CsfFormatError.
     """
     if profile not in _PROFILES:
         raise CsfFormatError(f"unknown profile {profile!r}")
@@ -134,41 +188,13 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     if m > 0xFFFF:
         raise CsfRangeError(f"{m} stacked filters exceeds the u16 index field")
     flat = arr.reshape(-1, m)
-    positions = []
-    for row in flat:
-        nz = np.flatnonzero(row)
-        if nz.size > 0xFFFF:
-            raise CsfRangeError(f"{nz.size} entries exceeds the u16 count field")
-        prev = 0
-        entries = []
-        for idx in nz:
-            entries.append(CsfEntry(int(idx) - prev, float(row[idx])))
-            prev = int(idx)
-        positions.append(CsfPosition(tuple(entries)))
-    return CsfStream(
-        profile=profile,
-        filters=m,
-        channels=channels,
-        kernel=kernel,
-        position_count=flat.shape[0],
-        positions=tuple(positions),
-        quantized=quantized,
-    )
-
-
-def absolute_indices(position: CsfPosition, filters: int) -> list[int]:
-    """Undo the delta coding for one position; validates monotonic range."""
-    out = []
-    prev = 0
-    for i, entry in enumerate(position.entries):
-        idx = entry.rel_index if i == 0 else prev + entry.rel_index
-        if i > 0 and entry.rel_index < 1:
-            raise CsfFormatError(f"non-ascending filter index at entry {i}")
-        if not 0 <= idx < filters:
-            raise CsfFormatError(f"filter index {idx} outside stack of {filters}")
-        out.append(idx)
-        prev = idx
-    return out
+    pos, idx = np.nonzero(flat)
+    rel = np.diff(idx, prepend=0)
+    first = np.diff(pos, prepend=-1) != 0
+    rel[first] = idx[first]
+    counts = np.bincount(pos, minlength=flat.shape[0])
+    return CsfStream(profile, m, channels, kernel, counts, rel,
+                     flat[pos, idx], quantized)
 
 
 def decode_csf(stream: CsfStream) -> np.ndarray:
@@ -178,31 +204,25 @@ def decode_csf(stream: CsfStream) -> np.ndarray:
     else:
         shape = (stream.channels, stream.filters)
     out = np.zeros((stream.position_count, stream.filters), np.float32)
-    for p, position in enumerate(stream.positions):
-        for idx, entry in zip(absolute_indices(position, stream.filters),
-                              position.entries):
-            out[p, idx] = entry.weight
+    rows = np.repeat(np.arange(stream.position_count), stream.counts)
+    out[rows, stream.indices] = stream.weights
     return out.reshape(shape)
 
 
 def serialize_csf(stream: CsfStream) -> bytes:
     """Pack a stream into its byte representation."""
-    parts = [
-        MAGIC,
-        struct.pack("<HBB", VERSION, _PROFILES[stream.profile],
-                    1 if stream.quantized else 0),
-        struct.pack("<IIII", stream.filters, stream.channels,
-                    stream.kernel, stream.position_count),
-    ]
-    for position in stream.positions:
-        # validate before packing so bad streams never hit struct errors
-        absolute_indices(position, stream.filters)
-        parts.append(struct.pack("<H", position.count))
-        for entry in position.entries:
-            if not 0 <= entry.rel_index <= 0xFFFF:
-                raise CsfRangeError(f"relative index {entry.rel_index} outside u16")
-            parts.append(struct.pack("<Hf", entry.rel_index, entry.weight))
-    return b"".join(parts)
+    header = MAGIC + struct.pack(
+        "<HBBIIII", VERSION, _PROFILES[stream.profile],
+        1 if stream.quantized else 0, stream.filters, stream.channels,
+        stream.kernel, stream.position_count)
+    is_count = _count_field_mask(stream.offsets)
+    entries = np.empty(stream.total_nnz, _ENTRY)
+    entries["rel"] = stream.rel
+    entries["weight"] = stream.weights
+    body = np.empty(is_count.size, np.uint8)
+    body[is_count] = stream.counts.astype("<u2").view(np.uint8)
+    body[~is_count] = entries.view(np.uint8)
+    return header + body.tobytes()
 
 
 def deserialize_csf(data: bytes) -> CsfStream:
@@ -219,43 +239,26 @@ def deserialize_csf(data: bytes) -> CsfStream:
     if dtype_code not in (0, 1):
         raise CsfFormatError(f"unknown dtype code {dtype_code}")
     filters, channels, kernel, position_count = struct.unpack_from("<IIII", data, 8)
-    profile = _PROFILE_NAMES[profile_code]
-    expected = channels * kernel * kernel if profile == "conv" else channels
-    if position_count != expected:
-        raise CsfFormatError(
-            f"position count {position_count} does not match shape "
-            f"(expected {expected})"
-        )
-    offset = HEADER_LEN
-    positions = []
+    # walk the count fields only, to find truncation and trailing bytes;
+    # the stream's constructor checks the rest, header shape included
+    counts = []
+    at = HEADER_LEN
     for p in range(position_count):
-        if offset + 2 > len(data):
+        if at + 2 > len(data):
             raise CsfFormatError(f"truncated at position {p} count field")
-        (count,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        entries = []
-        for e in range(count):
-            if offset + 6 > len(data):
-                raise CsfFormatError(f"truncated at position {p} entry {e}")
-            rel, weight = struct.unpack_from("<Hf", data, offset)
-            offset += 6
-            if not math.isfinite(weight):
-                raise CsfFormatError(f"non-finite weight at position {p} entry {e}")
-            entries.append(CsfEntry(rel, weight))
-        position = CsfPosition(tuple(entries))
-        absolute_indices(position, filters)
-        positions.append(position)
-    if offset != len(data):
-        raise CsfFormatError(f"{len(data) - offset} trailing bytes after stream")
-    return CsfStream(
-        profile=profile,
-        filters=filters,
-        channels=channels,
-        kernel=kernel,
-        position_count=position_count,
-        positions=tuple(positions),
-        quantized=dtype_code == 1,
-    )
+        counts.append(data[at] | data[at + 1] << 8)
+        at += 2 + 6 * counts[-1]
+        if at > len(data):
+            raise CsfFormatError(f"truncated in position {p} entries")
+    if at != len(data):
+        raise CsfFormatError(f"{len(data) - at} trailing bytes after stream")
+    counts = np.array(counts, np.uint16)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    body = np.frombuffer(data, np.uint8, offset=HEADER_LEN)
+    entries = body[~_count_field_mask(offsets)].view(_ENTRY)
+    return CsfStream(_PROFILE_NAMES[profile_code], filters, channels, kernel,
+                     counts, entries["rel"], entries["weight"],
+                     quantized=dtype_code == 1)
 
 
 def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
@@ -264,10 +267,15 @@ def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
     Each nonzero w becomes sign(w) * 2**e with e = ceil(log2|w| - 0.5),
     which picks the nearest exponent and resolves exact midpoints toward
     the smaller one; e is clamped to [exp_min, exp_max]. Zeros stay zero,
-    so sparsity is preserved exactly.
+    so sparsity is preserved exactly. The range must lie within
+    [-149, 127], the exponents of float32's smallest subnormal and largest
+    power of two, so every result is a finite nonzero float32.
     """
     if exp_min > exp_max:
         raise ValueError(f"exponent range [{exp_min}, {exp_max}] is empty")
+    if exp_min < -149 or exp_max > 127:
+        raise ValueError(f"exponent range [{exp_min}, {exp_max}] leaves "
+                         f"float32's [-149, 127]")
     arr = np.asarray(bank, dtype=np.float32)
     out = np.zeros_like(arr)
     nz = arr != 0

@@ -96,7 +96,8 @@ def random_sparse_filters(layer: LayerSpec, density: float, seed: int) -> np.nda
     Draws from numpy's default PCG64 stream seeded with `seed`: a keep mask
     with nonzero probability `density`, then magnitudes uniform in (0, 1]
     (never exactly zero), then a random sign, in that order. The same seed
-    always yields the same bank.
+    always yields the same bank. Dropped weights are +0.0, never -0.0, so
+    an encode/decode roundtrip gives the bank back byte for byte.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
@@ -108,4 +109,9 @@ def random_sparse_filters(layer: LayerSpec, density: float, seed: int) -> np.nda
     keep = rng.random(shape) < density
     magnitude = 1.0 - rng.random(shape)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return (keep * sign * magnitude).astype(np.float32)
+    # zeroed in place: multiplying by the mask would make dropped weights
+    # with a negative sign -0.0, and np.where would hold one more
+    # bank-sized temporary
+    weights = sign * magnitude
+    weights[~keep] = 0.0
+    return weights.astype(np.float32)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CsfStream, absolute_indices, encode_csf, stack_filters
+from .codec import CsfStream, encode_csf, stack_filters
 from .dense import as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
@@ -54,50 +54,46 @@ class TraceCounters:
         return merged
 
 
-def _position_tables(stream: CsfStream):
-    """Per-position absolute filter indices and weights as float32 arrays."""
-    tables = []
-    for position in stream.positions:
-        idx = np.array(absolute_indices(position, stream.filters), np.int64)
-        wts = np.array([e.weight for e in position.entries], np.float32)
-        tables.append((idx, wts))
-    return tables
+def _conv_inputs(layer: LayerSpec, stream: CsfStream, features, who: str):
+    """Checks a conv layer/stream pair; returns (padded input, out_h, out_w)."""
+    if layer.kind != "conv" or stream.profile != "conv":
+        raise ValueError(f"{who} needs a conv layer and a conv stream")
+    if (stream.channels, stream.kernel) != (layer.channels, layer.kernel):
+        raise ValueError(
+            f"stream {stream.channels}x{stream.kernel} does not match "
+            f"layer {layer.channels}x{layer.kernel}"
+        )
+    x = as_f32(features, (layer.channels, layer.height, layer.width))
+    out_w, out_h = output_shape(layer)
+    return pad_channels(x, layer.pad), out_h, out_w
 
 
 class EngineContext:
     """Scalar instruction-at-a-time execution over one conv stream."""
 
     def __init__(self, layer: LayerSpec, stream: CsfStream, features):
-        if layer.kind != "conv" or stream.profile != "conv":
-            raise ValueError("instruction stepping is defined for conv streams")
-        if (stream.channels, stream.kernel) != (layer.channels, layer.kernel):
-            raise ValueError(
-                f"stream {stream.channels}x{stream.kernel} does not match "
-                f"layer {layer.channels}x{layer.kernel}"
-            )
+        self.padded, self.out_h, self.out_w = _conv_inputs(
+            layer, stream, features, "instruction stepping")
         self.layer = layer
         self.stream = stream
-        x = as_f32(features, (layer.channels, layer.height, layer.width))
-        self.padded = pad_channels(x, layer.pad)
-        out_w, out_h = output_shape(layer)
-        self.out_h, self.out_w = out_h, out_w
-        self.global_buffer = np.zeros((stream.filters, out_h, out_w), np.float32)
+        self.global_buffer = np.zeros((stream.filters, self.out_h, self.out_w),
+                                      np.float32)
         self.counters = TraceCounters()
-        self._tables = _position_tables(stream)
 
     def simd3d_step(self, chi: int, y: int, x: int) -> np.ndarray:
         """Run one instruction: window (y, x) of channel chi, all filters."""
         k, stride = self.layer.kernel, self.layer.stride
-        registers = np.zeros(self.stream.filters, np.float32)
+        s = self.stream
+        registers = np.zeros(s.filters, np.float32)
         c = self.counters
         for r in range(k):
             for col in range(k):
                 value = self.padded[chi, y * stride + r, x * stride + col]
                 c.feature_loads += 1
                 c.pointer_loads += 1
-                idx, wts = self._tables[(chi * k + r) * k + col]
-                for i in range(idx.size):
-                    registers[idx[i]] += wts[i] * value
+                p = (chi * k + r) * k + col
+                for i in range(s.offsets[p], s.offsets[p + 1]):
+                    registers[s.indices[i]] += s.weights[i] * value
                     c.macs_executed += 1
                     c.weight_loads += 1
                     c.index_loads += 1
@@ -120,30 +116,23 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     Vectorized across output coordinates and stacked filters, preserving
     each output element's scalar accumulation sequence.
     """
-    if layer.kind != "conv" or stream.profile != "conv":
-        raise ValueError("run_conv needs a conv layer and a conv stream")
-    if (stream.channels, stream.kernel) != (layer.channels, layer.kernel):
-        raise ValueError(
-            f"stream {stream.channels}x{stream.kernel} does not match "
-            f"layer {layer.channels}x{layer.kernel}"
-        )
-    x = as_f32(features, (layer.channels, layer.height, layer.width))
-    padded = pad_channels(x, layer.pad)
-    out_w, out_h = output_shape(layer)
+    padded, out_h, out_w = _conv_inputs(layer, stream, features, "run_conv")
     k, stride = layer.kernel, layer.stride
-    tables = _position_tables(stream)
+    offsets, indices, weights = stream.offsets, stream.indices, stream.weights
     out = np.zeros((stream.filters, out_h, out_w), np.float32)
     windows = out_h * out_w
     for chi in range(layer.channels):
         partial = np.zeros_like(out)
         for r in range(k):
             for col in range(k):
-                idx, wts = tables[(chi * k + r) * k + col]
-                if idx.size:
+                p = (chi * k + r) * k + col
+                lo, hi = offsets[p], offsets[p + 1]
+                if hi > lo:
                     plane = padded[chi,
                                    r:r + (out_h - 1) * stride + 1:stride,
                                    col:col + (out_w - 1) * stride + 1:stride]
-                    partial[idx] += wts[:, None, None] * plane[None, :, :]
+                    partial[indices[lo:hi]] += (weights[lo:hi, None, None]
+                                                * plane[None, :, :])
         out += partial
     counters = TraceCounters(
         macs_executed=stream.total_nnz * windows,
@@ -161,7 +150,8 @@ def run_fc(stream: CsfStream, features):
 
     The input may have any shape whose flattened length matches the stream.
     Output is (filters, 1, 1), each element one flat running sum walked in
-    input stream order.
+    input stream order: np.add.at applies the products in entry order,
+    which is position order.
     """
     if stream.profile != "fc":
         raise ValueError("run_fc needs an fc stream")
@@ -171,11 +161,8 @@ def run_fc(stream: CsfStream, features):
             f"input length {x.size} does not match stream "
             f"position count {stream.position_count}"
         )
-    tables = _position_tables(stream)
     out = np.zeros(stream.filters, np.float32)
-    for p, (idx, wts) in enumerate(tables):
-        if idx.size:
-            out[idx] += wts * x[p]
+    np.add.at(out, stream.indices, stream.weights * np.repeat(x, stream.counts))
     counters = TraceCounters(
         macs_executed=stream.total_nnz,
         weight_loads=stream.total_nnz,

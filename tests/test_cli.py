@@ -76,7 +76,7 @@ class TestEncodeDecode:
         assert code == 0
         stream = deserialize_csf(stream_path.read_bytes())
         assert stream.quantized
-        weights = {e.weight for p in stream.positions for e in p.entries}
+        weights = set(stream.weights.tolist())
         allowed = {s * 2.0 ** e for e in range(-6, 3) for s in (1, -1)}
         assert weights.issubset(allowed)
 
@@ -95,6 +95,32 @@ class TestEncodeDecode:
         path.write_bytes(b"not a stream")
         code, _, err = run(capsys, "decode", str(path))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_non_finite_bank(self, capsys, tmp_path, bank_file, bad):
+        path, bank = bank_file
+        bank[4, 1, 2, 0] = bad
+        write_weight_bank(path, bank)
+        out_path = tmp_path / "bad.csf"
+        code, _, err = run(capsys, "encode", str(path), "-o", str(out_path))
+        assert code == 2 and "non-finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("exps", [("200", "300"), ("-300", "-200")])
+    def test_quantize_exponents_outside_float32(self, capsys, tmp_path,
+                                                bank_file, exps):
+        path, _ = bank_file
+        out_path = tmp_path / "q.csf"
+        code, _, err = run(capsys, "encode", str(path), "-o", str(out_path),
+                           "--quantize-shift", *exps)
+        assert code == 2 and "float32" in err
+        assert not out_path.exists()
+
+    def test_quantize_empty_exponent_range(self, capsys, tmp_path, bank_file):
+        path, _ = bank_file
+        code, _, err = run(capsys, "encode", str(path), "-o",
+                           str(tmp_path / "q.csf"), "--quantize-shift", "3", "2")
+        assert code == 2 and "empty" in err
 
     def test_encode_bad_bank(self, capsys, tmp_path):
         path = tmp_path / "junk.bin"

@@ -5,9 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from csfsim import (CsfEntry, CsfFormatError, CsfPosition, CsfRangeError,
-                    CsfStream, LayerSpec, absolute_indices, decode_csf,
-                    deserialize_csf, encode_csf, quantize_shift,
+from csfsim import (CsfFormatError, CsfRangeError, CsfStream, LayerSpec,
+                    decode_csf, deserialize_csf, encode_csf, quantize_shift,
                     random_sparse_filters, serialize_csf, stack_filters)
 
 
@@ -42,12 +41,12 @@ class TestEncode:
     def test_all_zero_batch(self):
         stream = encode_csf(np.zeros((2, 3, 3, 4), np.float32), "conv")
         assert stream.position_count == 18
-        assert all(p.count == 0 for p in stream.positions)
+        assert stream.counts.tolist() == [0] * 18
         assert stream.total_nnz == 0
 
     def test_fully_dense_delta_pattern(self):
         stream = encode_csf(np.ones((1, 1, 1, 4), np.float32), "conv")
-        rels = [e.rel_index for e in stream.positions[0].entries]
+        rels = stream.rel[stream.offsets[0]:stream.offsets[1]].tolist()
         assert rels == [0, 1, 1, 1]
 
     def test_count_conservation_and_roundtrip(self):
@@ -61,7 +60,8 @@ class TestEncode:
         stacked = np.zeros((1, 1, 1, 8), np.float32)
         stacked[0, 0, 0, 5] = 2.5
         stream = encode_csf(stacked, "conv")
-        assert stream.positions[0].entries[0] == CsfEntry(5, 2.5)
+        assert stream.counts[0] == 1
+        assert (stream.rel[0], stream.weights[0]) == (5, 2.5)
 
     def test_fc_flattens_spatial_axes(self):
         stacked = np.zeros((2, 3, 4, 6), np.float32)
@@ -82,6 +82,21 @@ class TestEncode:
         with pytest.raises(CsfRangeError, match="u16"):
             encode_csf(np.ones((1, 1, 1, 0x10000), np.float32), "conv")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        stacked = np.ones((2, 3, 3, 4), np.float32)
+        stacked[1, 2, 0, 3] = bad
+        with pytest.raises(CsfFormatError, match="non-finite weight"):
+            encode_csf(stacked, "conv")
+
+    def test_generated_bank_roundtrips_byte_for_byte(self):
+        # dropped weights must be +0.0, or decode would differ in sign bits
+        bank = _bank(m=16, c=4, k=3, density=0.3, seed=41)
+        stacked = stack_filters(bank, 0, 16)
+        assert not np.signbit(stacked[stacked == 0]).any()
+        decoded = decode_csf(encode_csf(stacked, "conv"))
+        assert decoded.tobytes() == stacked.tobytes()
+
 
 class TestDecode:
     @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
@@ -91,31 +106,58 @@ class TestDecode:
         assert np.array_equal(decode_csf(encode_csf(stacked, "conv")), stacked)
 
     def test_single_entry_placement(self):
-        pos = [CsfPosition((CsfEntry(3, 2.5),))] + [CsfPosition(())] * 8
-        stream = CsfStream("conv", 4, 1, 3, 9, tuple(pos))
+        stream = CsfStream("conv", 4, 1, 3, [1] + [0] * 8, [3], [2.5])
         dense = decode_csf(stream)
         assert dense[0, 0, 0, 3] == 2.5
         assert np.count_nonzero(dense) == 1
 
+    # malformed structure is caught when the stream is built, so no
+    # stream that exists can fail to decode, serialize or run
     def test_index_overflow_is_malformed(self):
-        pos = CsfPosition((CsfEntry(0, 1.0), CsfEntry(2, 1.0), CsfEntry(2, 1.0)))
-        stream = CsfStream("conv", 4, 1, 1, 1, (pos,))
         with pytest.raises(CsfFormatError, match="outside"):
-            decode_csf(stream)
+            CsfStream("conv", 4, 1, 1, [3], [0, 2, 2], [1.0, 1.0, 1.0])
 
     def test_non_ascending_index_is_malformed(self):
-        pos = CsfPosition((CsfEntry(1, 1.0), CsfEntry(0, 1.0)))
-        stream = CsfStream("conv", 4, 1, 1, 1, (pos,))
         with pytest.raises(CsfFormatError, match="ascending"):
-            decode_csf(stream)
+            CsfStream("conv", 4, 1, 1, [2], [1, 0], [1.0, 1.0])
 
     def test_position_count_mismatch_rejected(self):
-        with pytest.raises(CsfFormatError, match="position_count"):
-            CsfStream("conv", 2, 1, 3, 9, (CsfPosition(()),))
+        with pytest.raises(CsfFormatError, match="position count"):
+            CsfStream("conv", 2, 1, 3, [0], [], [])
 
-    def test_absolute_indices(self):
-        pos = CsfPosition((CsfEntry(2, 1.0), CsfEntry(1, 1.0), CsfEntry(4, 1.0)))
-        assert absolute_indices(pos, 8) == [2, 3, 7]
+    def test_indices_undo_delta_coding(self):
+        stream = CsfStream("conv", 8, 1, 1, [3], [2, 1, 4], [1.0, 1.0, 1.0])
+        assert stream.indices.tolist() == [2, 3, 7]
+
+    def test_delta_coding_restarts_at_each_position(self):
+        stream = CsfStream("fc", 8, 3, 1, [2, 0, 2], [2, 1, 4, 3],
+                           [1.0, 2.0, 3.0, 4.0])
+        assert stream.offsets.tolist() == [0, 2, 2, 4]
+        assert stream.indices.tolist() == [2, 3, 4, 7]
+
+    def test_entry_array_lengths_must_agree(self):
+        with pytest.raises(CsfFormatError, match="entries"):
+            CsfStream("conv", 4, 1, 1, [2], [0, 1], [1.0])
+        with pytest.raises(CsfFormatError, match="entries"):
+            CsfStream("conv", 4, 1, 1, [1], [0, 1], [1.0, 1.0])
+
+    def test_header_field_overflow(self):
+        with pytest.raises(CsfRangeError, match="u32"):
+            CsfStream("fc", 1 << 32, 1, 1, [0], [], [])
+
+    def test_count_field_overflow(self):
+        with pytest.raises(CsfRangeError, match="u16"):
+            CsfStream("fc", 4, 1, 1, [0x10000], [], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_malformed(self, bad):
+        with pytest.raises(CsfFormatError, match="non-finite"):
+            CsfStream("fc", 4, 2, 1, [0, 2], [0, 1], [1.0, bad])
+
+    def test_arrays_are_read_only(self):
+        stream = encode_csf(np.ones((1, 1, 1, 4), np.float32), "conv")
+        with pytest.raises(ValueError):
+            stream.weights[0] = 2.0
 
 
 class TestSerialization:
@@ -146,7 +188,7 @@ class TestSerialization:
         bank = _bank(m=8, c=3, k=3, density=0.4, seed=23)
         stream = encode_csf(stack_filters(bank, 0, 8), "conv")
         blob = serialize_csf(stream)
-        assert len(blob) == 24 + sum(2 + 6 * p.count for p in stream.positions)
+        assert len(blob) == 24 + sum(2 + 6 * int(c) for c in stream.counts)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_roundtrip_identity_over_seeds(self, seed):
@@ -204,10 +246,10 @@ class TestSerialization:
             deserialize_csf(blob)
 
     def test_rel_index_field_overflow(self):
-        pos = CsfPosition((CsfEntry(0x10000, 1.0),))
-        stream = CsfStream("conv", 0x10001, 1, 1, 1, (pos,))
+        # now refused when the stream is built, before serialize is reached
         with pytest.raises((CsfRangeError, CsfFormatError)):
-            serialize_csf(stream)
+            serialize_csf(CsfStream("conv", 0x10001, 1, 1, [1], [0x10000],
+                                    [1.0]))
 
     def test_quantized_flag_survives(self):
         stream = encode_csf(np.ones((1, 1, 1, 2), np.float32), "conv",
@@ -244,3 +286,16 @@ class TestQuantizeShift:
     def test_empty_exponent_range(self):
         with pytest.raises(ValueError, match="empty"):
             quantize_shift(np.float32([1.0]), 3, 2)
+
+    @pytest.mark.parametrize("exp_min, exp_max",
+                             [(200, 300), (-300, -200), (-150, 0), (0, 128)])
+    def test_exponents_outside_float32_rejected(self, exp_min, exp_max):
+        with pytest.raises(ValueError, match="float32"):
+            quantize_shift(np.float32([1.0]), exp_min, exp_max)
+
+    def test_float32_exponent_limits_keep_sparsity(self):
+        bank = np.float32([1e-45, -1e-40, 0.0, 3e38, -1.0])
+        out = quantize_shift(bank, -149, 127)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out == 0, bank == 0)
+        assert out[0] == 2.0 ** -149 and out[3] == 2.0 ** 127
