@@ -16,6 +16,7 @@ import struct
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .codec import (CsfFormatError, decode_csf, deserialize_csf, encode_csf,
                     quantize_shift, serialize_csf, stack_filters)
 from .dense import dense_conv, dense_fc, random_sparse_filters
 from .engine import run_layer_batched
-from .layers import LayerSpec, mac_count, output_shape
+from .layers import LayerSpec, mac_count
 from .netconfig import ConfigError, NetworkConfig, parse_network_config
-from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
+from .perf import PerfParams, build_table, dense_trace
 from .tiling import PlanError, plan_feature_division, plan_filter_grouping
 
 _BANK_HEADER = struct.Struct("<IIII")
@@ -95,23 +96,6 @@ def _write_csv(headers, rows, file=None):
     writer = csv.writer(file or sys.stdout, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(rows)
-
-
-def _division_cells(layer: LayerSpec, budget: int, tile):
-    """Per-layer division columns, or an infeasibility note."""
-    try:
-        plan = plan_feature_division(layer, budget, tile=tile)
-    except PlanError as exc:
-        return None, f"infeasible: {exc}"
-    return plan, None
-
-
-def _grouping_cells(layer: LayerSpec, budget: int):
-    try:
-        plan = plan_filter_grouping(layer, budget)
-    except PlanError as exc:
-        return None, f"infeasible: {exc}"
-    return plan, plan.note
 
 
 def _cmd_encode(args) -> int:
@@ -187,110 +171,103 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _plan_tables(config, args):
-    """Shared by plan and report: per-layer division/grouping cells."""
-    tile = None if args.budget_max else args.tile
-    division = []
-    grouping = []
+class _Section(NamedTuple):
+    """One planner's results for every layer of a config."""
+
+    title: str
+    headers: list       # text columns between layer and note
+    columns: list       # csv columns, one per cell
+    text_cells: Callable  # cells as the text table shows them
+    results: list       # per layer: (cells, note); cells None if infeasible
+
+
+def _division(layer: LayerSpec, budget: int, tile):
+    plan = plan_feature_division(layer, budget, tile=tile)
+    return [plan.grid_h, plan.grid_w, plan.load_times,
+            plan.dense_weight_count, plan.total_weights_loaded], None
+
+
+def _grouping(layer: LayerSpec, budget: int):
+    plan = plan_filter_grouping(layer, budget)
+    return [plan.batch_size, plan.batches, plan.feature_count,
+            plan.total_features_loaded], plan.note
+
+
+def _resolve(config, planner, *plan_args) -> list:
+    """The planner's (cells, note) per layer, (None, note) if infeasible."""
+    results = []
+    for layer in config:
+        try:
+            results.append(planner(layer, *plan_args))
+        except PlanError as exc:
+            results.append((None, f"infeasible: {exc}"))
+    return results
+
+
+def _plan_sections(config, args) -> list[_Section]:
+    """Run each requested planner once per layer (shared by plan and report)."""
+    sections = []
     if args.div_budget is not None:
-        for layer in config:
-            division.append((layer, *_division_cells(layer, args.div_budget, tile)))
+        tile = None if args.budget_max else args.tile
+        mode = f"tile {tile}" if tile is not None else "largest tile in budget"
+        sections.append(_Section(
+            f"feature division (output buffer budget {args.div_budget}, {mode})",
+            ["grid", "load times", "filter weights", "total weights loaded"],
+            ["grid_h", "grid_w", "load_times", "filter_weights",
+             "total_weights_loaded"],
+            lambda cells: [f"{cells[0]}x{cells[1]}", *cells[2:]],
+            _resolve(config, _division, args.div_budget, tile)))
     if args.grp_budget is not None:
-        for layer in config:
-            grouping.append((layer, *_grouping_cells(layer, args.grp_budget)))
-    return division, grouping
+        sections.append(_Section(
+            f"filter grouping (output buffer budget {args.grp_budget})",
+            ["batch size", "batches", "features", "total features loaded"],
+            ["batch_size", "batches", "features", "total_features_loaded"],
+            list, _resolve(config, _grouping, args.grp_budget)))
+    return sections
 
 
-def _print_division_table(entries, budget, tile):
-    mode = f"tile {tile}" if tile is not None else "largest tile in budget"
-    print(f"feature division (output buffer budget {budget}, {mode})")
-    headers = ["layer", "grid", "load times", "filter weights",
-               "total weights loaded", "note"]
+def _print_sections(config, sections) -> None:
+    """Each section as a titled table whose totals sum the last two cells."""
+    for i, section in enumerate(sections):
+        if i:
+            print()
+        print(section.title)
+        ncols = len(section.headers)
+        rows = [[layer.name, *(["-"] * ncols if cells is None
+                               else section.text_cells(cells)), note or ""]
+                for layer, (cells, note) in zip(config, section.results)]
+        feasible = [cells for cells, _ in section.results if cells is not None]
+        totals = [sum(cells[col] for cells in feasible) for col in (-2, -1)]
+        rows.append(["total", *[""] * (ncols - 2), *totals, ""])
+        _print_table(["layer", *section.headers, "note"], rows)
+
+
+def _write_sections_csv(headers, leading, sections) -> None:
+    """One row per layer: the caller's leading cells, each plan, the notes."""
     rows = []
-    sum_weights = 0
-    sum_loaded = 0
-    for layer, plan, note in entries:
-        if plan is None:
-            rows.append([layer.name, "-", "-", "-", "-", note])
-            continue
-        rows.append([layer.name, f"{plan.grid_h}x{plan.grid_w}",
-                     plan.load_times, plan.dense_weight_count,
-                     plan.total_weights_loaded, note or ""])
-        sum_weights += plan.dense_weight_count
-        sum_loaded += plan.total_weights_loaded
-    rows.append(["total", "", "", sum_weights, sum_loaded, ""])
-    _print_table(headers, rows)
-
-
-def _print_grouping_table(entries, budget):
-    print(f"filter grouping (output buffer budget {budget})")
-    headers = ["layer", "batch size", "batches", "features",
-               "total features loaded", "note"]
-    rows = []
-    sum_features = 0
-    sum_loaded = 0
-    for layer, plan, note in entries:
-        if plan is None:
-            rows.append([layer.name, "-", "-", "-", "-", note])
-            continue
-        rows.append([layer.name, plan.batch_size, plan.batches,
-                     plan.feature_count, plan.total_features_loaded,
-                     note or ""])
-        sum_features += plan.feature_count
-        sum_loaded += plan.total_features_loaded
-    rows.append(["total", "", "", sum_features, sum_loaded, ""])
-    _print_table(headers, rows)
+    for i, lead in enumerate(leading):
+        row, notes = list(lead), []
+        for section in sections:
+            cells, note = section.results[i]
+            row += [""] * len(section.columns) if cells is None else cells
+            if note:
+                notes.append(note)
+        rows.append([*row, "; ".join(notes)])
+    columns = [c for section in sections for c in section.columns]
+    _write_csv([*headers, *columns, "note"], rows)
 
 
 def _cmd_plan(args) -> int:
     if args.div_budget is None and args.grp_budget is None:
         raise ValueError("plan needs --div-budget and/or --grp-budget")
     config = _load_config(args.config)
-    division, grouping = _plan_tables(config, args)
+    sections = _plan_sections(config, args)
     if args.csv:
-        headers = ["layer", "kind"]
-        if division:
-            headers += ["grid_h", "grid_w", "load_times", "filter_weights",
-                        "total_weights_loaded"]
-        if grouping:
-            headers += ["batch_size", "batches", "features",
-                        "total_features_loaded"]
-        headers.append("note")
-        rows = []
-        for i, layer in enumerate(config):
-            row = [layer.name, layer.kind]
-            notes = []
-            if division:
-                _, plan, note = division[i]
-                if plan is None:
-                    row += [""] * 5
-                    notes.append(note)
-                else:
-                    row += [plan.grid_h, plan.grid_w, plan.load_times,
-                            plan.dense_weight_count, plan.total_weights_loaded]
-            if grouping:
-                _, plan, note = grouping[i]
-                if plan is None:
-                    row += [""] * 4
-                    notes.append(note)
-                else:
-                    row += [plan.batch_size, plan.batches, plan.feature_count,
-                            plan.total_features_loaded]
-                    if note:
-                        notes.append(note)
-            row.append("; ".join(notes))
-            rows.append(row)
-        _write_csv(headers, rows)
-        return 0
-    first = True
-    if division:
-        tile = None if args.budget_max else args.tile
-        _print_division_table(division, args.div_budget, tile)
-        first = False
-    if grouping:
-        if not first:
-            print()
-        _print_grouping_table(grouping, args.grp_budget)
+        _write_sections_csv(["layer", "kind"],
+                            [[layer.name, layer.kind] for layer in config],
+                            sections)
+    else:
+        _print_sections(config, sections)
     return 0
 
 
@@ -317,54 +294,34 @@ def _cmd_report(args) -> int:
         weights_per_clock=args.weights_per_clock,
         efficiency_divisor=args.efficiency_divisor,
     )
-    perf_rows = []
-    for layer in config:
-        trace = dense_trace(layer)
-        macs = trace.macs_executed
-        runtime = predict_runtime(trace, params)
-        eff = efficiency_per_pe(macs / 1e6, runtime, params.efficiency_divisor)
-        perf_rows.append([layer.name, layer.kind, macs, f"{macs / 1e6:.4f}",
-                          f"{runtime:.4f}", f"{eff:.4f}"])
-    division, grouping = _plan_tables(config, args)
+    perf = build_table([(layer.name, dense_trace(layer), None)
+                        for layer in config], params)
+    perf_rows = [[layer.name, layer.kind, mac_count(layer),
+                  f"{row.macs_millions:.4f}", f"{row.runtime_ms:.4f}",
+                  f"{row.efficiency:.4f}"] for layer, row in zip(config, perf)]
+    sections = _plan_sections(config, args)
     if args.csv:
-        headers = ["layer", "kind", "macs", "macs_millions", "predicted_ms",
-                   "efficiency", "grid_h", "grid_w", "load_times",
-                   "filter_weights", "total_weights_loaded", "batch_size",
-                   "batches", "features", "total_features_loaded", "note"]
-        rows = []
-        for i, layer in enumerate(config):
-            row = list(perf_rows[i])
-            notes = []
-            _, plan, note = division[i]
-            if plan is None:
-                row += [""] * 5
-                notes.append(note)
-            else:
-                row += [plan.grid_h, plan.grid_w, plan.load_times,
-                        plan.dense_weight_count, plan.total_weights_loaded]
-            _, plan, note = grouping[i]
-            if plan is None:
-                row += [""] * 4
-                notes.append(note)
-            else:
-                row += [plan.batch_size, plan.batches, plan.feature_count,
-                        plan.total_features_loaded]
-                if note:
-                    notes.append(note)
-            row.append("; ".join(n for n in notes if n))
-            rows.append(row)
-        _write_csv(headers, rows)
+        _write_sections_csv(["layer", "kind", "macs", "macs_millions",
+                             "predicted_ms", "efficiency"], perf_rows, sections)
         return 0
     print(f"arithmetic and predicted timing ({params.pe_count} processing "
           f"elements at {params.clock_mhz} MHz)")
     _print_table(["layer", "kind", "macs", "millions", "predicted ms",
                   "efficiency"], perf_rows)
     print()
-    tile = None if args.budget_max else args.tile
-    _print_division_table(division, args.div_budget, tile)
-    print()
-    _print_grouping_table(grouping, args.grp_budget)
+    _print_sections(config, sections)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and budgets: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,18 +355,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.25,
                    help="nonzero weight fraction (default 0.25)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=64,
+    p.add_argument("--batch-size", type=_positive_int, default=64,
                    help="filters per encoded stack (default 64)")
     p.add_argument("--corrupt-layer", default=None, help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
     def add_plan_args(p):
-        p.add_argument("--div-budget", type=int, default=None,
+        p.add_argument("--div-budget", type=_positive_int, default=None,
                        help="output buffer budget for feature division")
-        p.add_argument("--grp-budget", type=int, default=None,
+        p.add_argument("--grp-budget", type=_positive_int, default=None,
                        help="output buffer budget for filter grouping")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--tile", type=int, default=14,
+        group.add_argument("--tile", type=_positive_int, default=14,
                            help="square output tile size (default 14)")
         group.add_argument("--budget-max", action="store_true",
                            help="pick the largest tile the budget allows")
@@ -435,18 +392,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--add-latency-cycles", type=int, default=11)
     p.add_argument("--weights-per-clock", type=int, default=None)
     p.add_argument("--efficiency-divisor", type=int, default=4)
-    p.set_defaults(handler=_cmd_report)
+    p.set_defaults(handler=_cmd_report, div_budget=100352, grp_budget=200704)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report":
-        if args.div_budget is None:
-            args.div_budget = 100352
-        if args.grp_budget is None:
-            args.grp_budget = 200704
     try:
         return args.handler(args)
     except (ConfigError, CsfFormatError, PlanError, ValueError, OSError) as exc:

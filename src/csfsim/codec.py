@@ -26,6 +26,7 @@ Byte layout (little endian throughout):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -176,6 +177,8 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     if arr.ndim < 2:
         raise CsfFormatError("stacked block needs spatial axes plus a filter axis")
     m = arr.shape[-1]
+    # named, not -1: numpy cannot infer -1 for an empty filter axis
+    positions = math.prod(arr.shape[:-1])
     if profile == "conv":
         if arr.ndim != 4 or arr.shape[1] != arr.shape[2]:
             raise CsfFormatError(
@@ -183,11 +186,10 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
             )
         channels, kernel = arr.shape[0], arr.shape[1]
     else:
-        channels = int(np.prod(arr.shape[:-1]))
-        kernel = 1
+        channels, kernel = positions, 1
     if m > 0xFFFF:
         raise CsfRangeError(f"{m} stacked filters exceeds the u16 index field")
-    flat = arr.reshape(-1, m)
+    flat = arr.reshape(positions, m)
     pos, idx = np.nonzero(flat)
     rel = np.diff(idx, prepend=0)
     first = np.diff(pos, prepend=-1) != 0

@@ -11,6 +11,70 @@ from csfsim import LayerSpec, deserialize_csf, quantize_shift, random_sparse_fil
 from csfsim.cli import main, read_weight_bank, write_weight_bank
 
 
+# Complete outputs, pinned byte for byte: the note column's right
+# justification, infeasible rows, totals rows and "; "-joined notes.
+REPORT_LENET = """\
+arithmetic and predicted timing (8 processing elements at 299.97 MHz)
+layer  kind     macs  millions  predicted ms  efficiency
+CONV1  conv   288000    0.2880        0.1411      0.5102
+CONV2  conv  1600000    1.6000        0.7137      0.5605
+FC1      fc   400000    0.4000        0.1960      0.5102
+FC2      fc     5000    0.0050        0.0204      0.0612
+
+feature division (output buffer budget 100352, tile 14)
+layer  grid  load times  filter weights  total weights loaded                                                      note
+CONV1   2x2           4             500                  2000
+CONV2   1x1           1           25000                 25000
+FC1       -           -               -                     -  infeasible: FC1: feature division applies to conv layers
+FC2       -           -               -                     -  infeasible: FC2: feature division applies to conv layers
+total                             25500                 27000
+
+filter grouping (output buffer budget 200704)
+layer  batch size  batches  features  total features loaded  note
+CONV1          20        1       784                    784
+CONV2          50        1      2880                   2880
+FC1           500        1       800                    800
+FC2            10        1       500                    500
+total                           4964                   4964
+"""
+
+REPORT_LENET_CSV = """\
+layer,kind,macs,macs_millions,predicted_ms,efficiency,grid_h,grid_w,load_times,filter_weights,total_weights_loaded,batch_size,batches,features,total_features_loaded,note
+CONV1,conv,288000,0.2880,0.1411,0.5102,2,2,4,500,2000,20,1,784,784,
+CONV2,conv,1600000,1.6000,0.7137,0.5605,1,1,1,25000,25000,50,1,2880,2880,
+FC1,fc,400000,0.4000,0.1960,0.5102,,,,,,500,1,800,800,infeasible: FC1: feature division applies to conv layers
+FC2,fc,5000,0.0050,0.0204,0.0612,,,,,,10,1,500,500,infeasible: FC2: feature division applies to conv layers
+"""
+
+PLAN_LENET_SMALL_BUDGETS_CSV = """\
+layer,kind,grid_h,grid_w,load_times,filter_weights,total_weights_loaded,batch_size,batches,features,total_features_loaded,note
+CONV1,conv,,,,,,,,,,"infeasible: CONV1: 14x14 output tiles for 20 filters need 3920 elements, budget is 3000; infeasible: CONV1: budget 500 cannot hold one 24x24 output plane"
+CONV2,conv,,,,,,7,8,2880,23040,"infeasible: CONV2: 8x8 output tiles for 50 filters need 3200 elements, budget is 3000"
+FC1,fc,,,,,,500,1,800,800,infeasible: FC1: feature division applies to conv layers
+FC2,fc,,,,,,10,1,500,500,infeasible: FC2: feature division applies to conv layers
+"""
+
+PLAN_ALEXNET_BUDGET_MAX = """\
+feature division (output buffer budget 100352, largest tile in budget)
+layer  grid  load times  filter weights  total weights loaded  note
+CONV1   2x2           4           34848                139392
+CONV2   2x2           4          614400               2457600
+CONV3   1x1           1          884736                884736
+CONV4   1x1           1         1327104               1327104
+CONV5   1x1           1          884736                884736
+total                           3745824               5693568
+
+filter grouping (output buffer budget 200704)
+layer  batch size  batches  features  total features loaded  note
+CONV1          66        2    154587                 309174
+CONV2         256        1     69984                  69984
+CONV3         384        1     43264                  43264
+CONV4         384        1     64896                  64896
+CONV5         256        1     64896                  64896
+total                         397627                 552214
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -224,6 +288,29 @@ class TestPlan:
         assert "infeasible" in out
 
 
+class TestPositiveIntFlags:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "lenet", "--div-budget", "100", "--tile"],
+        ["plan", "lenet", "--div-budget"],
+        ["plan", "lenet", "--grp-budget"],
+        ["report", "lenet", "--tile"],
+        ["verify", "lenet", "--batch-size"],
+    ], ids=["tile", "div-budget", "grp-budget", "report-tile", "batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_rejected_when_parsed(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "must be >= 1" in captured.err
+
+    def test_non_integer_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["plan", "lenet", "--div-budget", "100", "--tile", "abc"])
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
 class TestReport:
     def test_text_report(self, capsys):
         code, out, _ = run(capsys, "report", "lenet")
@@ -239,6 +326,20 @@ class TestReport:
         assert rows[0][0] == "layer" and rows[0][-1] == "note"
         assert len(rows) == 6
         assert rows[1][2] == "105415200"
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv, expected", [
+        (["report", "lenet"], REPORT_LENET),
+        (["report", "lenet", "--csv"], REPORT_LENET_CSV),
+        (["plan", "lenet", "--div-budget", "3000", "--grp-budget", "500",
+          "--csv"], PLAN_LENET_SMALL_BUDGETS_CSV),
+        (["plan", "alexnet", "--div-budget", "100352", "--grp-budget",
+          "200704", "--budget-max"], PLAN_ALEXNET_BUDGET_MAX),
+    ], ids=["report-text", "report-csv", "plan-joined-notes-csv",
+            "plan-budget-max-text"])
+    def test_complete_output(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
 
 class TestConfigResolution:

@@ -44,6 +44,16 @@ class TestEncode:
         assert stream.counts.tolist() == [0] * 18
         assert stream.total_nnz == 0
 
+    @pytest.mark.parametrize("shape, profile", [((1, 1, 1, 0), "conv"),
+                                                ((2, 3, 0), "fc")])
+    def test_empty_filter_axis(self, shape, profile):
+        stream = encode_csf(np.zeros(shape, np.float32), profile)
+        assert (stream.filters, stream.total_nnz) == (0, 0)
+        assert stream.counts.tolist() == [0] * stream.position_count
+        blob = serialize_csf(stream)
+        assert len(blob) == 24 + 2 * stream.position_count
+        assert deserialize_csf(blob) == stream
+
     def test_fully_dense_delta_pattern(self):
         stream = encode_csf(np.ones((1, 1, 1, 4), np.float32), "conv")
         rels = stream.rel[stream.offsets[0]:stream.offsets[1]].tolist()

@@ -1,9 +1,11 @@
 """Property tests for the stream codec over generated stacks and bytes.
 
 Extents stay small so the suite runs in seconds: up to 4 channels, kernel
-extent up to 3, fc inputs up to 3 axes of up to 4 elements, and up to 16
+extent up to 3, fc inputs up to 3 axes of up to 4 elements, and 0 to 16
 stacked filters.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from csfsim import (CsfFormatError, decode_csf, deserialize_csf, encode_csf,
 # a weight is zero half the time, otherwise any finite float32
 _WEIGHTS = st.one_of(st.just(0.0),
                      st.floats(width=32, allow_nan=False, allow_infinity=False))
-_FILTERS = st.integers(1, 16)
+_FILTERS = st.integers(0, 16)
 
 
 @st.composite
@@ -42,7 +44,7 @@ def reference_encode(stacked):
     """The stream's arrays by the format's definition, one weight at a time."""
     m = stacked.shape[-1]
     counts, rel, weights, indices = [], [], [], []
-    for row in stacked.reshape(-1, m):
+    for row in stacked.reshape(math.prod(stacked.shape[:-1]), m):
         prev = 0
         nonzero = [j for j in range(m) if row[j] != 0]
         counts.append(len(nonzero))
