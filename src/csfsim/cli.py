@@ -144,6 +144,21 @@ def _verify_input(layer: LayerSpec, seed: int) -> np.ndarray:
     return (rng.random(shape) * 2.0 - 1.0).astype(np.float32)
 
 
+def _ulp_key(value) -> int:
+    """A float32's place on the number line in ULP steps; +0.0 and -0.0 are 0."""
+    bits = int(np.float32(value).view(np.int32))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFF)
+
+
+def _first_mismatch(expected: np.ndarray, actual: np.ndarray) -> str:
+    """Where two same-shape (filter, y, x) outputs first differ, and by how much."""
+    f, y, x = np.unravel_index(np.argmax(actual != expected), actual.shape)
+    want, got = expected[f, y, x], actual[f, y, x]
+    ulps = abs(_ulp_key(want) - _ulp_key(got))
+    return (f"; first mismatch at (filter {f}, y {y}, x {x}): expected "
+            f"{float(want):.9g}, actual {float(got):.9g}, {ulps} ulp")
+
+
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     failures = 0
@@ -164,8 +179,9 @@ def _cmd_verify(args) -> int:
         exact = actual.shape == expected.shape and np.array_equal(actual, expected)
         deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
         verdict = "PASS" if exact else "FAIL"
+        where = "" if exact else _first_mismatch(expected, actual)
         print(f"{layer.name}: {verdict} (max abs deviation {deviation:.3e}, "
-              f"{trace.macs_executed} macs)")
+              f"{trace.macs_executed} macs{where})")
         failures += 0 if exact else 1
     print(f"{len(config.layers) - failures}/{len(config.layers)} layers passed")
     return 0 if failures == 0 else 1

@@ -6,6 +6,16 @@ then kernel column. CONV keeps one float32 partial sum per channel per
 output element (the engine flushes its register file into the output buffer
 once per channel); FC keeps a single flat running sum per output, walking
 the input in stream order.
+
+`dense_conv` works through the output in tiles of at most `_TILE_FLOATS`
+elements, a block of filters by a block of output pixels, so the tile's
+partial sums and its product buffer stay in cache and no step allocates a
+temporary. Per channel it first copies the k*k window planes into one
+contiguous scratch row each. Each tile then zeroes its partial sums, adds
+one product row per kernel position in kernel row then column order, and
+adds the partial into the output once. Tiling changes which elements are
+computed together, never the sequence of float32 additions any one output
+element sees, so the bytes are those of the whole-plane loop.
 """
 
 from __future__ import annotations
@@ -13,6 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import LayerSpec, output_shape
+
+# float32 elements per dense_conv tile buffer (256 KB), so a tile's
+# partial sums and products stay in a per-core L2 cache
+_TILE_FLOATS = 1 << 16
 
 
 def as_f32(values, dims=None) -> np.ndarray:
@@ -57,16 +71,36 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
             f"(*, {layer.channels}, {layer.kernel}, {layer.kernel})"
         )
     out_w, out_h = output_shape(layer)
+    k, filters, pixels = layer.kernel, w.shape[0], out_h * out_w
     padded = pad_channels(x, layer.pad)
-    out = np.zeros((w.shape[0], out_h, out_w), np.float32)
+    out = np.zeros((filters, pixels), np.float32)
+    pix_block = min(pixels, _TILE_FLOATS)
+    filt_block = max(1, min(filters, _TILE_FLOATS // pix_block))
+    partial = np.empty((filt_block, pix_block), np.float32)
+    product = np.empty_like(partial)
+    windows = np.empty((k * k, out_h, out_w), np.float32)
+    rows = windows.reshape(k * k, pixels)
     for chi in range(layer.channels):
-        partial = np.zeros_like(out)
-        for r in range(layer.kernel):
-            for c in range(layer.kernel):
-                plane = _window_plane(padded, chi, r, c, out_h, out_w, layer.stride)
-                partial += w[:, chi, r, c][:, None, None] * plane[None, :, :]
-        out += partial
-    return out
+        for r in range(k):
+            for c in range(k):
+                windows[r * k + c] = _window_plane(padded, chi, r, c,
+                                                   out_h, out_w, layer.stride)
+        taps = w[:, chi].reshape(filters, k * k)
+        for f0 in range(0, filters, filt_block):
+            f1 = min(filters, f0 + filt_block)
+            for p0 in range(0, pixels, pix_block):
+                p1 = min(pixels, p0 + pix_block)
+                part = partial[:f1 - f0, :p1 - p0]
+                prod = product[:f1 - f0, :p1 - p0]
+                # start from +0.0 like a zeroed register file, so a lone
+                # -0.0 product still sums to +0.0
+                part.fill(0.0)
+                for t in range(k * k):
+                    np.multiply(taps[f0:f1, t, None], rows[t, None, p0:p1],
+                                out=prod)
+                    np.add(part, prod, out=part)
+                out[f0:f1, p0:p1] += part
+    return out.reshape(filters, out_h, out_w)
 
 
 def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
@@ -83,7 +117,7 @@ def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
             f"{layer.name}: weights {w.shape} do not match "
             f"(*, {layer.channels}, {layer.height}, {layer.width})"
         )
-    flat = w.reshape(w.shape[0], -1)
+    flat = w.reshape(w.shape[0], x.size)
     out = np.zeros(w.shape[0], np.float32)
     for p in range(x.size):
         out += flat[:, p] * x[p]

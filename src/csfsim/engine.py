@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CsfStream, encode_csf, stack_filters
-from .dense import as_f32, pad_channels
+from .dense import _window_plane, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
 
@@ -128,9 +128,8 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                 p = (chi * k + r) * k + col
                 lo, hi = offsets[p], offsets[p + 1]
                 if hi > lo:
-                    plane = padded[chi,
-                                   r:r + (out_h - 1) * stride + 1:stride,
-                                   col:col + (out_w - 1) * stride + 1:stride]
+                    plane = _window_plane(padded, chi, r, col, out_h, out_w,
+                                          stride)
                     partial[indices[lo:hi]] += (weights[lo:hi, None, None]
                                                 * plane[None, :, :])
         out += partial
@@ -179,11 +178,16 @@ def run_layer_batched(weights, features, layer: LayerSpec, batch_size: int):
 
     Encodes each stack, executes it, and concatenates the outputs in filter
     order; counters accumulate across stacks. Returns (output, counters).
+    An empty bank runs no stack: its output has no filters and its counters
+    are zero.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} must be >= 1")
     bank = as_f32(weights)
     total = bank.shape[0]
+    if total == 0:
+        out_w, out_h = output_shape(layer)
+        return np.zeros((0, out_h, out_w), np.float32), TraceCounters()
     outputs = []
     counters = TraceCounters()
     for start in range(0, total, batch_size):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from csfsim import LayerSpec, deserialize_csf, quantize_shift, random_sparse_filters
-from csfsim.cli import main, read_weight_bank, write_weight_bank
+from csfsim.cli import (_first_mismatch, main, read_weight_bank,
+                        write_weight_bank)
 
 
 # Complete outputs, pinned byte for byte: the note column's right
@@ -208,6 +209,33 @@ class TestVerify:
         assert code == 1
         assert "CONV2: FAIL" in out
         assert out.count("PASS") == 3
+        line = next(l for l in out.splitlines() if l.startswith("CONV2"))
+        assert line.endswith(
+            "macs; first mismatch at (filter 0, y 0, x 0): expected "
+            "-1.79499805, actual -1.25941014, 4492837 ulp)")
+        # both values are negative, so their ULP distance is the distance
+        # between their bit patterns
+        bits = np.array([-1.79499805, -1.25941014], np.float32).view(np.int32)
+        assert abs(int(bits[0]) - int(bits[1])) == 4492837
+        assert out.splitlines()[0] == (
+            "CONV1: PASS (max abs deviation 0.000e+00, 91584 macs)")
+        assert out.splitlines()[-1] == "3/4 layers passed"
+
+    def test_first_mismatch_location_and_ulps(self):
+        expected = np.zeros((2, 3, 4), np.float32)
+        actual = expected.copy()
+        actual[1, 2, 3] = 5.0
+        actual[1, 0, 2] = np.nextafter(np.float32(0), np.float32(-1))
+        # the smallest negative subnormal is one step below zero
+        assert _first_mismatch(expected, actual) == (
+            "; first mismatch at (filter 1, y 0, x 2): expected 0, "
+            "actual -1.40129846e-45, 1 ulp")
+        one = np.ones((1, 1, 1), np.float32)
+        assert _first_mismatch(one, np.nextafter(one, np.float32(2))).endswith(
+            "expected 1, actual 1.00000012, 1 ulp")
+        # across zero the distance counts the steps on both sides
+        tiny = np.full((1, 1, 1), 2.8e-45, np.float32)
+        assert _first_mismatch(tiny, -tiny).endswith("4 ulp")
 
     def test_density_zero_trivially_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "lenet", "--density", "0",

@@ -1,10 +1,14 @@
 """Dense oracles against independently coded brute-force references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csfsim import (LayerSpec, as_f32, dense_conv, dense_fc, output_shape,
-                    random_sparse_filters)
+from csfsim import (LayerSpec, as_f32, dense, dense_conv, dense_fc,
+                    output_shape, random_sparse_filters)
 
 
 def _brute_conv(x, w, layer):
@@ -36,6 +40,33 @@ def _brute_conv(x, w, layer):
                     acc = np.float32(acc + part)
                 out[j, y, xo] = acc
     return out
+
+
+def _plane_conv(x, w, layer):
+    """Whole-plane vectorized reference: one product per kernel position.
+
+    The loop dense_conv ran before it was tiled. Every channel keeps a
+    partial sum the size of the whole output, and each kernel position adds
+    one (filters, out_h, out_w) product into it.
+    """
+    out_w, out_h = output_shape(layer)
+    k, s = layer.kernel, layer.stride
+    padded = np.pad(x, ((0, 0), (layer.pad, layer.pad), (layer.pad, layer.pad)))
+    out = np.zeros((w.shape[0], out_h, out_w), np.float32)
+    for chi in range(layer.channels):
+        partial = np.zeros_like(out)
+        for r in range(k):
+            for c in range(k):
+                plane = padded[chi, r:r + (out_h - 1) * s + 1:s,
+                               c:c + (out_w - 1) * s + 1:s]
+                partial += w[:, chi, r, c][:, None, None] * plane[None, :, :]
+        out += partial
+    return out
+
+
+def _matches_plane_conv_bytewise(x, w, layer):
+    """Byte comparison, so a -0.0 where the reference has +0.0 shows."""
+    return dense_conv(x, w, layer).tobytes() == _plane_conv(x, w, layer).tobytes()
 
 
 def _brute_fc(x, w):
@@ -100,6 +131,57 @@ class TestDenseConv:
         x = _rand_input((3, 9, 7), 43)
         assert np.array_equal(dense_conv(x, bank, layer),
                               _brute_conv(x, bank, layer))
+
+    def test_filters_not_a_multiple_of_the_filter_block(self):
+        # 784 pixels per tile row leaves 83 filters per block: 83 + 17
+        layer = LayerSpec("fb", "conv", 3, 28, 28, 1, 1, 0, 100)
+        bank = random_sparse_filters(layer, 0.5, 1)
+        x = _rand_input((3, 28, 28), 2)
+        assert _matches_plane_conv_bytewise(x, bank, layer)
+
+    def test_plane_larger_than_one_tile(self):
+        # 258 x 258 = 66564 output pixels split into two pixel blocks
+        layer = LayerSpec("pb", "conv", 1, 260, 260, 3, 1, 0, 1)
+        bank = random_sparse_filters(layer, 1.0, 3)
+        x = _rand_input((1, 260, 260), 4)
+        assert _matches_plane_conv_bytewise(x, bank, layer)
+
+    @pytest.mark.parametrize("kernel", [5, 11])
+    def test_strided_padded_tiles(self, kernel):
+        layer = LayerSpec("sp", "conv", 3, 31, 29, kernel, 2, 2, 70)
+        bank = random_sparse_filters(layer, 0.6, kernel)
+        x = _rand_input((3, 31, 29), kernel + 1)
+        assert _matches_plane_conv_bytewise(x, bank, layer)
+
+    def test_empty_bank(self):
+        layer = LayerSpec("e", "conv", 2, 5, 5, 3, 1, 0, 4)
+        out = dense_conv(_rand_input((2, 5, 5), 5), np.zeros((0, 2, 3, 3)),
+                         layer)
+        assert out.shape == (0, 3, 3) and out.dtype == np.float32
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        # every product is -0.0; a zeroed partial sum turns them into +0.0
+        layer = LayerSpec("nz", "conv", 2, 9, 9, 3, 2, 1, 6)
+        bank = -np.ones((6, 2, 3, 3), np.float32)
+        x = np.zeros((2, 9, 9), np.float32)
+        assert _matches_plane_conv_bytewise(x, bank, layer)
+        assert not np.signbit(dense_conv(x, bank, layer)).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tile=st.integers(1, 200), channels=st.integers(1, 3),
+           side=st.integers(3, 16), kernel=st.integers(1, 3),
+           filters=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_any_tile_size_matches_plane_reference(self, tile, channels, side,
+                                                  kernel, filters, seed):
+        # tiles of 1 to 200 floats split small planes into many filter and
+        # pixel blocks with ragged edges
+        layer = LayerSpec("t", "conv", channels, side, side, kernel, 1, 1,
+                          filters)
+        bank = random_sparse_filters(layer, 0.7, seed)
+        x = _rand_input((channels, side, side), seed)
+        with mock.patch.object(dense, "_TILE_FLOATS", tile):
+            tiled = dense_conv(x, bank, layer)
+        assert tiled.tobytes() == _plane_conv(x, bank, layer).tobytes()
 
     def test_linear_in_input(self):
         layer = LayerSpec("l", "conv", 2, 6, 6, 3, 1, 1, 4)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from csfsim import (EngineContext, LayerSpec, dense_conv, dense_fc,
-                    encode_csf, output_shape, random_sparse_filters, run_conv,
-                    run_fc, run_layer_batched, stack_filters)
+from csfsim import (EngineContext, LayerSpec, TraceCounters, dense_conv,
+                    dense_fc, encode_csf, output_shape, random_sparse_filters,
+                    run_conv, run_fc, run_layer_batched, stack_filters)
 
 
 def _rand_input(shape, seed):
@@ -192,6 +192,17 @@ class TestRunLayerBatched:
         x = _rand_input((2, 3, 3), 71)
         out, _ = run_layer_batched(bank, x, layer, 1)
         assert np.array_equal(out, dense_fc(x, bank, layer))
+
+    @pytest.mark.parametrize("kind,oracle,shape", [
+        ("conv", dense_conv, (0, 3, 3)), ("fc", dense_fc, (0, 1, 1))])
+    def test_empty_bank(self, kind, oracle, shape):
+        layer = LayerSpec("a", kind, 2, 5, 5, 3, 1, 0, 4)
+        bank = random_sparse_filters(layer, 1.0, 80)[:0]
+        x = _rand_input((2, 5, 5), 81)
+        out, trace = run_layer_batched(bank, x, layer, 4)
+        assert out.shape == oracle(x, bank, layer).shape == shape
+        assert out.dtype == np.float32
+        assert vars(trace) == vars(TraceCounters())
 
     def test_batch_size_validated(self):
         layer = LayerSpec("v", "conv", 1, 4, 4, 3, 1, 0, 2)
