@@ -33,10 +33,15 @@ _BANK_HEADER = struct.Struct("<IIII")
 
 
 def write_weight_bank(path, bank: np.ndarray) -> None:
-    """Dump a (filters, channels, k, k) float32 bank to disk."""
+    """Dump a (filters, channels, k, k) float32 bank to disk.
+
+    Every extent must be at least 1, as `read_weight_bank` requires.
+    """
     arr = np.ascontiguousarray(bank, dtype="<f4")
     if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
         raise ValueError(f"bank shape {arr.shape} is not (filters, channels, k, k)")
+    if min(arr.shape) < 1:
+        raise ValueError(f"{path}: zero extent in header")
     with open(path, "wb") as fh:
         fh.write(_BANK_HEADER.pack(*arr.shape))
         fh.write(arr.tobytes())

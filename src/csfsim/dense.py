@@ -46,10 +46,14 @@ def pad_channels(features: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(features, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def _window_plane(padded: np.ndarray, chi: int, r: int, c: int,
+def _window_plane(padded: np.ndarray, chans: int | slice, r: int, c: int,
                   out_h: int, out_w: int, stride: int) -> np.ndarray:
-    """The out_h x out_w input samples that kernel position (r, c) touches."""
-    return padded[chi,
+    """The out_h x out_w input samples that kernel position (r, c) touches.
+
+    `chans` picks one channel, giving an (out_h, out_w) view, or a slice
+    of channels, giving a (channels, out_h, out_w) view.
+    """
+    return padded[chans,
                   r:r + (out_h - 1) * stride + 1:stride,
                   c:c + (out_w - 1) * stride + 1:stride]
 

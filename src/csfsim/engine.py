@@ -12,6 +12,20 @@ scalar multiply-accumulate at a time. `run_conv` and `run_fc` compute the
 same float32 sums in the same per-element order with vectorized sweeps
 across output coordinates and filters, so the two paths agree bit for bit.
 
+`run_conv` regroups a stream's entries tap-major, by (kernel tap,
+channel, filter), and walks the input in blocks of whole channels, sized
+so a block's partial sums and window rows each stay within
+`_BLOCK_FLOATS`. Per block it copies each tap's window rows, zeroes one
+register row per (channel, filter) and then, tap by tap in kernel row
+then column order, gathers the window rows the tap's entries read,
+multiplies them by their weights and adds them into their registers in
+one scatter. Finally it flushes the registers into the output one channel
+at a time, in channel order. This is exact: registers of different
+channels never mix, a (channel, filter) register appears at most once
+per tap so the scatter adds each product once, and each output element
+still sees, per channel, +0.0 plus that channel's products in tap order,
+then one flush per channel.
+
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
 per-position count fetches, and instructions issued.
@@ -24,8 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CsfStream, encode_csf, stack_filters
-from .dense import _window_plane, as_f32, pad_channels
+from .dense import _TILE_FLOATS, _window_plane, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
+
+# float32 elements per run_conv channel block (1 MB): the block's partial
+# sums (channels x filters x windows) and its window rows (channels x
+# taps x windows) each stay within it; a block holds at least one channel
+_BLOCK_FLOATS = 4 * _TILE_FLOATS
 
 
 @dataclass
@@ -113,26 +132,53 @@ class EngineContext:
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
-    Vectorized across output coordinates and stacked filters, preserving
-    each output element's scalar accumulation sequence.
+    Vectorized over blocks of whole channels, one gather, multiply and
+    scatter per kernel tap and block (see the module docstring), preserving
+    each output element's scalar accumulation sequence. Multiplies only
+    the stream's nonzero weights: nnz x windows MACs.
     """
     padded, out_h, out_w = _conv_inputs(layer, stream, features, "run_conv")
-    k, stride = layer.kernel, layer.stride
-    offsets, indices, weights = stream.offsets, stream.indices, stream.weights
-    out = np.zeros((stream.filters, out_h, out_w), np.float32)
-    windows = out_h * out_w
-    for chi in range(layer.channels):
-        partial = np.zeros_like(out)
+    k, stride, channels, filters = (layer.kernel, layer.stride,
+                                    layer.channels, stream.filters)
+    taps, windows = k * k, out_h * out_w
+    # regroup the entries tap-major, (tap, channel, filter): stream order
+    # is channel-major with filters ascending, so a stable sort keeps the
+    # rest
+    position = np.repeat(np.arange(stream.position_count), stream.counts)
+    order = np.argsort(position % taps, kind="stable")
+    chan = position[order] // taps
+    register = chan * filters + stream.indices[order]
+    weight = stream.weights[order, None]
+    # tap t's entries for channels c0:c1: bounds[t*C + c0]:bounds[t*C + c1]
+    bounds = np.concatenate(
+        ([0], np.cumsum(stream.counts.reshape(channels, taps).T,
+                         dtype=np.int64)))
+    block = min(channels,
+                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
+    window_rows = np.empty((taps, block, out_h, out_w), np.float32)
+    partial = np.empty((block, filters, windows), np.float32)
+    out = np.zeros((filters, windows), np.float32)
+    for c0 in range(0, channels, block):
+        c1 = min(channels, c0 + block)
+        rows = window_rows[:, :c1 - c0]
         for r in range(k):
             for col in range(k):
-                p = (chi * k + r) * k + col
-                lo, hi = offsets[p], offsets[p + 1]
-                if hi > lo:
-                    plane = _window_plane(padded, chi, r, col, out_h, out_w,
-                                          stride)
-                    partial[indices[lo:hi]] += (weights[lo:hi, None, None]
-                                                * plane[None, :, :])
-        out += partial
+                rows[r * k + col] = _window_plane(
+                    padded, slice(c0, c1), r, col, out_h, out_w, stride)
+        rows = rows.reshape(taps, c1 - c0, windows)
+        part = partial[:c1 - c0]
+        # start from +0.0 like a zeroed register file
+        part.fill(0.0)
+        registers = part.reshape(-1, windows)
+        for t in range(taps):
+            lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
+            if hi > lo:
+                product = rows[t][chan[lo:hi] - c0]
+                product *= weight[lo:hi]
+                # each (channel, filter) register appears once per tap
+                registers[register[lo:hi] - c0 * filters] += product
+        for chan_partial in part:
+            out += chan_partial
     counters = TraceCounters(
         macs_executed=stream.total_nnz * windows,
         weight_loads=stream.total_nnz * windows,
@@ -141,7 +187,7 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
         pointer_loads=layer.channels * windows * k * k,
         simd_instructions=layer.channels * windows,
     )
-    return out, counters
+    return out.reshape(filters, out_h, out_w), counters
 
 
 def run_fc(stream: CsfStream, features):

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from csfsim import LayerSpec, deserialize_csf, quantize_shift, random_sparse_filters
+from csfsim import (CsfStream, LayerSpec, deserialize_csf, quantize_shift,
+                    random_sparse_filters, serialize_csf)
 from csfsim.cli import (_first_mismatch, main, read_weight_bank,
                         write_weight_bank)
 
@@ -119,6 +120,15 @@ class TestWeightBankIo:
         with pytest.raises(ValueError, match="zero extent"):
             read_weight_bank(path)
 
+    @pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1),
+                                       (1, 1, 0, 0), (0, 0, 0, 0)])
+    def test_write_refuses_zero_extent(self, tmp_path, shape):
+        # the reader rejects such a header, so the writer must not make one
+        path = tmp_path / "zero.bin"
+        with pytest.raises(ValueError, match="zero extent in header"):
+            write_weight_bank(path, np.zeros(shape, np.float32))
+        assert not path.exists()
+
 
 class TestEncodeDecode:
     def test_file_roundtrip(self, capsys, tmp_path, bank_file):
@@ -160,6 +170,23 @@ class TestEncodeDecode:
         path.write_bytes(b"not a stream")
         code, _, err = run(capsys, "decode", str(path))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("profile,filters,channels,kernel", [
+        ("conv", 0, 1, 1), ("conv", 2, 0, 3), ("conv", 2, 1, 0),
+        ("fc", 0, 4, 1), ("fc", 3, 0, 1)])
+    def test_decode_zero_extent_stream_writes_no_bank(
+            self, capsys, tmp_path, profile, filters, channels, kernel):
+        positions = channels * (kernel ** 2 if profile == "conv" else 1)
+        stream = CsfStream(profile, filters, channels, kernel,
+                           counts=[0] * positions, rel=[], weights=[])
+        path = tmp_path / "z.csf"
+        path.write_bytes(serialize_csf(stream))
+        out_path = tmp_path / "z.bank"
+        code, out, err = run(capsys, "decode", str(path), "-o", str(out_path))
+        assert code == 2
+        assert f"filters   {filters}" in out
+        assert err.startswith("error: ") and "zero extent in header" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_encode_non_finite_bank(self, capsys, tmp_path, bank_file, bad):

@@ -10,9 +10,12 @@ from csfsim.cli import main
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("config,layers", [("alexnet", 5), ("vgg16", 13)])
-def test_full_network_verify(capsys, config, layers):
-    code = main(["verify", config, "--density", "0.1", "--seed", "11"])
+# density 0.5 on alexnet: many nonzeros per position, so one channel
+# block of the engine holds tens of channels
+@pytest.mark.parametrize("config,density,layers", [
+    ("alexnet", "0.1", 5), ("vgg16", "0.1", 13), ("alexnet", "0.5", 5)])
+def test_full_network_verify(capsys, config, density, layers):
+    code = main(["verify", config, "--density", density, "--seed", "11"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == layers
