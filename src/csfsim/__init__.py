@@ -16,7 +16,7 @@ from .codec import (CsfFormatError, CsfRangeError, CsfStream, decode_csf,
 from .dense import (as_f32, dense_conv, dense_fc, pad_channels,
                     random_sparse_filters)
 from .engine import (EngineContext, TraceCounters, run_conv, run_fc,
-                     run_layer_batched)
+                     run_layer_batched, stack_trace)
 from .layers import LayerSpec, mac_count, output_shape
 from .netconfig import (ConfigError, NetworkConfig, load_network_config,
                         parse_network_config, render_network_config)
@@ -24,7 +24,6 @@ from .perf import (BASELINE_PARAMS, LayerPerfRow, PerfParams, build_table,
                    dense_trace, efficiency_per_pe, improvement,
                    predict_runtime)
 from .tiling import (DivisionPlan, GroupingPlan, PlanError,
-                     StrategyComparison, compare_strategies,
                      division_input_dims, division_layer, extract_division,
                      plan_feature_division, plan_filter_grouping,
                      stitch_outputs)
@@ -45,11 +44,9 @@ __all__ = [
     "NetworkConfig",
     "PerfParams",
     "PlanError",
-    "StrategyComparison",
     "TraceCounters",
     "as_f32",
     "build_table",
-    "compare_strategies",
     "decode_csf",
     "dense_conv",
     "dense_fc",
@@ -77,5 +74,6 @@ __all__ = [
     "run_layer_batched",
     "serialize_csf",
     "stack_filters",
+    "stack_trace",
     "stitch_outputs",
 ]

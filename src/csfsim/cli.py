@@ -334,15 +334,19 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes and budgets: an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an int of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,19 +379,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="network config path or bundled name")
     p.add_argument("--density", type=float, default=0.25,
                    help="nonzero weight fraction (default 0.25)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=_positive_int, default=64,
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=64,
                    help="filters per encoded stack (default 64)")
     p.add_argument("--corrupt-layer", default=None, help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
     def add_plan_args(p):
-        p.add_argument("--div-budget", type=_positive_int, default=None,
+        p.add_argument("--div-budget", type=_int_at_least(1), default=None,
                        help="output buffer budget for feature division")
-        p.add_argument("--grp-budget", type=_positive_int, default=None,
+        p.add_argument("--grp-budget", type=_int_at_least(1), default=None,
                        help="output buffer budget for filter grouping")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--tile", type=_positive_int, default=14,
+        group.add_argument("--tile", type=_int_at_least(1), default=14,
                            help="square output tile size (default 14)")
         group.add_argument("--budget-max", action="store_true",
                            help="pick the largest tile the budget allows")

@@ -28,7 +28,8 @@ then one flush per channel.
 
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
-per-position count fetches, and instructions issued.
+per-position count fetches, and instructions issued. `stack_trace` is
+the one formula for them; `EngineContext` tallies them load by load.
 """
 
 from __future__ import annotations
@@ -71,6 +72,19 @@ class TraceCounters:
         merged = TraceCounters(**vars(self))
         merged += other
         return merged
+
+
+def stack_trace(nnz: int, positions: int, channels: int,
+                windows: int) -> TraceCounters:
+    """The counters of one stack run over `windows` output coordinates.
+
+    Per window: a multiply, weight fetch and index fetch per nonzero, a
+    feature fetch and count fetch per position, an instruction per
+    channel. An fc stream is one window of positions == channels.
+    """
+    macs, streams = nnz * windows, positions * windows
+    return TraceCounters(macs, macs, macs, streams, streams,
+                         channels * windows)
 
 
 def _conv_inputs(layer: LayerSpec, stream: CsfStream, features, who: str):
@@ -179,15 +193,8 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                 registers[register[lo:hi] - c0 * filters] += product
         for chan_partial in part:
             out += chan_partial
-    counters = TraceCounters(
-        macs_executed=stream.total_nnz * windows,
-        weight_loads=stream.total_nnz * windows,
-        index_loads=stream.total_nnz * windows,
-        feature_loads=layer.channels * windows * k * k,
-        pointer_loads=layer.channels * windows * k * k,
-        simd_instructions=layer.channels * windows,
-    )
-    return out.reshape(filters, out_h, out_w), counters
+    return out.reshape(filters, out_h, out_w), stack_trace(
+        stream.total_nnz, stream.position_count, channels, windows)
 
 
 def run_fc(stream: CsfStream, features):
@@ -208,15 +215,8 @@ def run_fc(stream: CsfStream, features):
         )
     out = np.zeros(stream.filters, np.float32)
     np.add.at(out, stream.indices, stream.weights * np.repeat(x, stream.counts))
-    counters = TraceCounters(
-        macs_executed=stream.total_nnz,
-        weight_loads=stream.total_nnz,
-        index_loads=stream.total_nnz,
-        feature_loads=stream.position_count,
-        pointer_loads=stream.position_count,
-        simd_instructions=stream.position_count,
-    )
-    return out.reshape(stream.filters, 1, 1), counters
+    return out.reshape(stream.filters, 1, 1), stack_trace(
+        stream.total_nnz, stream.position_count, stream.channels, 1)
 
 
 def run_layer_batched(weights, features, layer: LayerSpec, batch_size: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .layers import LayerSpec
+from .layers import LayerSpec, output_shape
 
 _COMMON_KEYS = ("name", "type", "in_channels", "in_height", "in_width",
                 "filters")
@@ -59,7 +59,7 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
                 raise ConfigError(f"key {key!r} is not allowed for fc layers",
                                   lines[key])
     try:
-        return LayerSpec(
+        layer = LayerSpec(
             name=fields["name"],
             kind=kind,
             channels=fields["in_channels"],
@@ -70,8 +70,10 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
             pad=fields.get("pad", 0),
             filters=fields["filters"],
         )
+        output_shape(layer)  # rejects a kernel wider than the padded input
     except ValueError as exc:
         raise ConfigError(str(exc), header_line) from exc
+    return layer
 
 
 def parse_network_config(text) -> NetworkConfig:
@@ -131,9 +133,17 @@ def parse_network_config(text) -> NetworkConfig:
 
 
 def render_network_config(config: NetworkConfig) -> str:
-    """Canonical text form; parse(render(c)) == c."""
+    """Canonical text form; parse(render(c)) == c, else ValueError.
+
+    A name holding '#' or a line break, or with outer blanks, is refused.
+    """
     chunks = []
     for layer in config:
+        # the parser splits lines, cuts each at '#' and strips its value
+        if ("#" in layer.name or layer.name.strip() != layer.name
+                or (layer.name + "\n").splitlines() != [layer.name]):
+            raise ValueError(
+                f"layer name {layer.name!r} would not parse back to itself")
         lines = [
             "[layer]",
             f"name = {layer.name}",

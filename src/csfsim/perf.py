@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import TraceCounters
+from .engine import TraceCounters, stack_trace
 from .layers import LayerSpec, output_shape
 
 
@@ -97,26 +97,13 @@ def dense_trace(layer: LayerSpec) -> TraceCounters:
     Pure shape arithmetic: equals the counters from actually running the
     layer at density 1 with every filter in one stack.
     """
-    out_w, out_h = output_shape(layer)
     if layer.kind == "conv":
-        windows = out_h * out_w
-        k2 = layer.kernel ** 2
-        macs = layer.filters * layer.channels * k2 * windows
-        streams = layer.channels * windows * k2
-        instructions = layer.channels * windows
-    else:
-        positions = layer.channels * layer.height * layer.width
-        macs = layer.filters * positions
-        streams = positions
-        instructions = positions
-    return TraceCounters(
-        macs_executed=macs,
-        weight_loads=macs,
-        index_loads=macs,
-        feature_loads=streams,
-        pointer_loads=streams,
-        simd_instructions=instructions,
-    )
+        channels = layer.channels
+        positions = channels * layer.kernel ** 2
+    else:  # one window; every input element is its own channel
+        channels = positions = layer.channels * layer.height * layer.width
+    return stack_trace(layer.filters * positions, positions, channels,
+                       math.prod(output_shape(layer)))
 
 
 def _as_macs_millions(work) -> float:
@@ -125,19 +112,16 @@ def _as_macs_millions(work) -> float:
     return float(work)
 
 
-def build_table(entries, params: PerfParams | None = None,
-                baselines=None,
-                baseline_params: PerfParams | None = None):
+def build_table(entries, params: PerfParams | None = None, baselines=None):
     """Assemble efficiency rows from (name, work, runtime_ms) entries.
 
     `work` is either a macs-in-millions number or a TraceCounters; a None
     runtime is predicted from the trace. With `baselines` (a same-length
     list of (work, runtime_ms) pairs) each entry also yields a baseline
-    row, placed before its counterpart, and the entry row carries the
-    efficiency ratio between the two.
+    row (normalized by `BASELINE_PARAMS`), placed before its counterpart,
+    and the entry row carries the efficiency ratio between the two.
     """
     params = params or PerfParams()
-    baseline_params = baseline_params or BASELINE_PARAMS
     if baselines is not None and len(baselines) != len(entries):
         raise ValueError(
             f"{len(entries)} entries but {len(baselines)} baselines"
@@ -156,7 +140,7 @@ def build_table(entries, params: PerfParams | None = None,
             base_work, base_runtime = baselines[i]
             base_macs = _as_macs_millions(base_work)
             base_eff = efficiency_per_pe(base_macs, base_runtime,
-                                         baseline_params.efficiency_divisor)
+                                         BASELINE_PARAMS.efficiency_divisor)
             rows.append(LayerPerfRow(
                 name=f"{name} (baseline)",
                 macs_millions=base_macs,

@@ -74,21 +74,6 @@ class GroupingPlan:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
-    """Side-by-side reload totals for the two buffering strategies."""
-
-    division: DivisionPlan
-    grouping: GroupingPlan
-    weights_reloaded: int
-    features_reloaded: int
-
-    @property
-    def recommended(self) -> str:
-        return "division" if self.weights_reloaded <= self.features_reloaded \
-            else "grouping"
-
-
 def division_input_dims(w_do: int, h_do: int, stride: int, kernel: int):
     """Input window extents needed for an output tile of w_do x h_do."""
     return (w_do - 1) * stride + kernel, (h_do - 1) * stride + kernel
@@ -245,16 +230,3 @@ def stitch_outputs(tiles, plan: DivisionPlan) -> np.ndarray:
             cells.append(arr)
         rows.append(np.concatenate(cells, axis=2))
     return np.concatenate(rows, axis=1)
-
-
-def compare_strategies(layer: LayerSpec, div_budget: int, grp_budget: int,
-                       tile: int | None = 14) -> StrategyComparison:
-    """Plan both strategies for one layer and tabulate their reload costs."""
-    division = plan_feature_division(layer, div_budget, tile=tile)
-    grouping = plan_filter_grouping(layer, grp_budget)
-    return StrategyComparison(
-        division=division,
-        grouping=grouping,
-        weights_reloaded=division.total_weights_loaded,
-        features_reloaded=grouping.total_features_loaded,
-    )

@@ -365,6 +365,14 @@ class TestPositiveIntFlags:
             main(["plan", "lenet", "--div-budget", "100", "--tile", "abc"])
         assert "invalid int value: 'abc'" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_when_parsed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lenet", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
+
 
 class TestReport:
     def test_text_report(self, capsys):
@@ -418,3 +426,16 @@ class TestConfigResolution:
         path.write_text("[layer]\nname = A\ntype = warp\n")
         code, _, err = run(capsys, "macs", str(path))
         assert code == 2 and "unknown type" in err
+
+    @pytest.mark.parametrize("command", [
+        ["macs"], ["plan", "--div-budget", "100"], ["verify"], ["report"],
+    ], ids=["macs", "plan", "verify", "report"])
+    def test_oversize_kernel_names_its_line(self, capsys, tmp_path, command):
+        path = tmp_path / "big.cfg"
+        path.write_text("# too wide\n[layer]\nname = BIG\ntype = conv\n"
+                        "in_channels = 1\nin_height = 5\nin_width = 5\n"
+                        "kernel = 11\nstride = 1\npad = 0\nfilters = 2\n")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert err == ("error: line 2: BIG: kernel 11 exceeds padded "
+                       "input 5x5\n")

@@ -17,9 +17,12 @@ hold them.
   1 to 6 filters;
 - feature division tiled == untiled, output bytes and summed counters:
   1 to 3 channels, planes of 1 to 12, kernel 1 to 3, stride 1 to 3, pad 0
-  to 2, 1 to 8 filters, square tiles of 1 to 6 outputs, batches of 1 to 8.
+  to 2, 1 to 8 filters, square tiles of 1 to 6 outputs, batches of 1 to 8;
+- `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
+  `run_layer_batched`'s counters, within the first property's bounds.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -29,8 +32,9 @@ from hypothesis.extra.numpy import arrays
 
 from csfsim import (EngineContext, LayerSpec, TraceCounters, dense_conv,
                     dense_fc, division_layer, encode_csf, extract_division,
-                    plan_feature_division, random_sparse_filters, run_conv,
-                    run_layer_batched, stack_filters, stitch_outputs)
+                    output_shape, plan_feature_division,
+                    random_sparse_filters, run_conv, run_layer_batched,
+                    stack_filters, stack_trace, stitch_outputs)
 from csfsim import engine
 
 _FEATURES = st.floats(-2.0, 2.0, width=32)
@@ -138,3 +142,20 @@ def test_feature_division_equals_whole_layer(case, tile, batch):
             tiled_counters += counters
     assert stitch_outputs(tiles, plan).tobytes() == whole.tobytes()
     assert vars(tiled_counters) == vars(whole_counters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer_cases())
+def test_counters_are_stack_trace_summed_over_stacks(case):
+    # priced from the bank alone, never from an encoded stream: an fc
+    # layer is one window whose every input element is its own channel
+    layer, bank, features, batch = case
+    positions = math.prod(bank.shape[1:])
+    channels = layer.channels if layer.kind == "conv" else positions
+    windows = math.prod(output_shape(layer))
+    expected = TraceCounters()
+    for start in range(0, bank.shape[0], batch):
+        nnz = int(np.count_nonzero(bank[start:start + batch]))
+        expected += stack_trace(nnz, positions, channels, windows)
+    _, counters = run_layer_batched(bank, features, layer, batch)
+    assert vars(counters) == vars(expected)

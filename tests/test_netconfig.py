@@ -103,6 +103,22 @@ class TestParse:
         with pytest.raises(ConfigError, match="height"):
             parse_network_config(text)
 
+    def test_kernel_wider_than_padded_input_at_header_line(self):
+        text = "# pad 1 makes the plane 9x9\n" + ALEXNET_CONV1.replace(
+            "in_height = 227", "in_height = 7").replace(
+            "in_width = 227", "in_width = 7").replace("pad = 0", "pad = 1")
+        with pytest.raises(ConfigError) as exc:
+            parse_network_config(text)
+        assert exc.value.line == 2
+        assert str(exc.value) == (
+            "line 2: CONV1: kernel 11 exceeds padded input 9x9")
+
+    def test_kernel_equal_to_padded_input_accepted(self):
+        text = ALEXNET_CONV1.replace("in_height = 227", "in_height = 9").replace(
+            "in_width = 227", "in_width = 9").replace("pad = 0", "pad = 1")
+        (layer,) = parse_network_config(text)
+        assert (layer.height, layer.width, layer.pad) == (9, 9, 1)
+
 
 class TestRender:
     def test_parse_render_identity(self):
@@ -122,6 +138,23 @@ class TestRender:
     def test_empty_config_renders_empty(self):
         assert render_network_config(NetworkConfig(())) == ""
 
+    @pytest.mark.parametrize("name", ["a#b", " x ", "x\t", "a\nb", "a\r\nb",
+                                      "a\u2028b"])
+    def test_name_that_would_not_parse_back_refused(self, name):
+        config = NetworkConfig((
+            LayerSpec("ok", "fc", 1, 1, 1, 1, 1, 0, 1),
+            LayerSpec(name, "conv", 3, 32, 32, 5, 2, 1, 16),
+        ))
+        with pytest.raises(ValueError, match="layer name") as exc:
+            render_network_config(config)
+        assert repr(name) in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["", "a=b", "a b", "[layer]", "\u00e9"])
+    def test_unusual_names_round_trip(self, name):
+        config = NetworkConfig((LayerSpec(name, "conv", 3, 32, 32, 5, 2, 1,
+                                          16),))
+        assert parse_network_config(render_network_config(config)) == config
+
 
 class TestBundledConfigs:
     @pytest.mark.parametrize("name,layer_count", [
@@ -133,6 +166,7 @@ class TestBundledConfigs:
         assert len(config) == layer_count
         names = [layer.name for layer in config]
         assert len(set(names)) == len(names)
+        assert parse_network_config(render_network_config(config)) == config
 
     def test_alexnet_macs(self):
         text = resources.files("csfsim").joinpath(

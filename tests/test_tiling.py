@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from csfsim import (LayerSpec, PlanError, compare_strategies,
-                    division_input_dims, division_layer, encode_csf,
-                    extract_division, output_shape, plan_feature_division,
-                    plan_filter_grouping, random_sparse_filters, run_conv,
-                    stack_filters, stitch_outputs)
+from csfsim import (LayerSpec, PlanError, division_input_dims,
+                    division_layer, encode_csf, extract_division,
+                    output_shape, plan_feature_division, plan_filter_grouping,
+                    random_sparse_filters, run_conv, stack_filters,
+                    stitch_outputs)
 
 
 def vgg_layer(name, channels, size, filters):
@@ -242,24 +242,3 @@ class TestExtractAndStitch:
                 sub_layer = division_layer(layer, plan, ty, tx)
                 out_w, out_h = output_shape(sub_layer)
                 assert (out_h, out_w) == plan.tile_out_dims(ty, tx)
-
-
-class TestCompareStrategies:
-    def test_reference_totals_side_by_side(self):
-        layer = vgg_layer("c11", 3, 224, 64)
-        report = compare_strategies(layer, 100352, 200704, tile=14)
-        assert report.weights_reloaded == 442_368
-        assert report.features_reloaded == 2_408_448
-        assert report.recommended == "division"
-
-    def test_whole_layer_tie(self):
-        layer = LayerSpec("t", "conv", 2, 8, 8, 3, 1, 1, 4)
-        report = compare_strategies(layer, 10 ** 6, 10 ** 6, tile=14)
-        assert report.division.load_times == 1
-        assert report.grouping.batches == 1
-        assert report.weights_reloaded == report.division.dense_weight_count
-        assert report.features_reloaded == report.grouping.feature_count
-
-    def test_infeasibility_propagates(self):
-        with pytest.raises(PlanError):
-            compare_strategies(vgg_layer("x", 3, 224, 64), 100, 200704)
