@@ -20,9 +20,7 @@ from .engine import (EngineContext, TraceCounters, run_conv, run_fc,
 from .layers import LayerSpec, mac_count, output_shape
 from .netconfig import (ConfigError, NetworkConfig, load_network_config,
                         parse_network_config, render_network_config)
-from .perf import (BASELINE_PARAMS, LayerPerfRow, PerfParams, build_table,
-                   dense_trace, efficiency_per_pe, improvement,
-                   predict_runtime)
+from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
 from .tiling import (DivisionPlan, GroupingPlan, PlanError,
                      division_input_dims, division_layer, extract_division,
                      plan_feature_division, plan_filter_grouping,
@@ -31,7 +29,6 @@ from .tiling import (DivisionPlan, GroupingPlan, PlanError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE_PARAMS",
     "ConfigError",
     "CsfFormatError",
     "CsfRangeError",
@@ -39,14 +36,12 @@ __all__ = [
     "DivisionPlan",
     "EngineContext",
     "GroupingPlan",
-    "LayerPerfRow",
     "LayerSpec",
     "NetworkConfig",
     "PerfParams",
     "PlanError",
     "TraceCounters",
     "as_f32",
-    "build_table",
     "decode_csf",
     "dense_conv",
     "dense_fc",
@@ -57,7 +52,6 @@ __all__ = [
     "efficiency_per_pe",
     "encode_csf",
     "extract_division",
-    "improvement",
     "load_network_config",
     "mac_count",
     "output_shape",

@@ -26,7 +26,7 @@ from .dense import dense_conv, dense_fc, random_sparse_filters
 from .engine import run_layer_batched
 from .layers import LayerSpec, mac_count
 from .netconfig import ConfigError, NetworkConfig, parse_network_config
-from .perf import PerfParams, build_table, dense_trace
+from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
 from .tiling import PlanError, plan_feature_division, plan_filter_grouping
 
 _BANK_HEADER = struct.Struct("<IIII")
@@ -166,6 +166,8 @@ def _first_mismatch(expected: np.ndarray, actual: np.ndarray) -> str:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
+    if not config.layers:
+        raise ValueError(f"config {args.config!r} has no layers to verify")
     failures = 0
     for i, layer in enumerate(config):
         layer_seed = args.seed + 7919 * i
@@ -315,11 +317,14 @@ def _cmd_report(args) -> int:
         weights_per_clock=args.weights_per_clock,
         efficiency_divisor=args.efficiency_divisor,
     )
-    perf = build_table([(layer.name, dense_trace(layer), None)
-                        for layer in config], params)
-    perf_rows = [[layer.name, layer.kind, mac_count(layer),
-                  f"{row.macs_millions:.4f}", f"{row.runtime_ms:.4f}",
-                  f"{row.efficiency:.4f}"] for layer, row in zip(config, perf)]
+    perf_rows = []
+    for layer in config:
+        trace = dense_trace(layer)
+        macs_millions = trace.macs_executed / 1e6
+        ms = predict_runtime(trace, params)
+        eff = efficiency_per_pe(macs_millions, ms, params.efficiency_divisor)
+        perf_rows.append([layer.name, layer.kind, mac_count(layer),
+                          f"{macs_millions:.4f}", f"{ms:.4f}", f"{eff:.4f}"])
     sections = _plan_sections(config, args)
     if args.csv:
         _write_sections_csv(["layer", "kind", "macs", "macs_millions",

@@ -135,15 +135,21 @@ def parse_network_config(text) -> NetworkConfig:
 def render_network_config(config: NetworkConfig) -> str:
     """Canonical text form; parse(render(c)) == c, else ValueError.
 
-    A name holding '#' or a line break, or with outer blanks, is refused.
+    A name holding '#' or a line break, or with outer blanks, is refused,
+    as are a repeated name and a kernel wider than its padded input.
     """
     chunks = []
+    names = set()
     for layer in config:
         # the parser splits lines, cuts each at '#' and strips its value
         if ("#" in layer.name or layer.name.strip() != layer.name
                 or (layer.name + "\n").splitlines() != [layer.name]):
             raise ValueError(
                 f"layer name {layer.name!r} would not parse back to itself")
+        if layer.name in names:
+            raise ValueError(f"duplicate layer name {layer.name!r}")
+        names.add(layer.name)
+        output_shape(layer)  # the parser rejects an oversize kernel too
         lines = [
             "[layer]",
             f"name = {layer.name}",

@@ -39,25 +39,8 @@ class PerfParams:
                      "efficiency_divisor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.clock_mhz > 0:
-            raise ValueError("clock_mhz must be positive")
-
-
-# comparison design: 168 processing elements, clocked 100-250 MHz (upper
-# bound taken; efficiency math never consults the clock)
-BASELINE_PARAMS = PerfParams(pe_count=168, clock_mhz=250.0,
-                             efficiency_divisor=168)
-
-
-@dataclass(frozen=True)
-class LayerPerfRow:
-    """One rendered table row; improvement is against a paired baseline."""
-
-    name: str
-    macs_millions: float
-    runtime_ms: float
-    efficiency: float
-    improvement: float | None = None
+        if not 0 < self.clock_mhz < math.inf:
+            raise ValueError("clock_mhz must be positive and finite")
 
 
 def efficiency_per_pe(macs_millions: float, runtime_ms: float,
@@ -68,13 +51,6 @@ def efficiency_per_pe(macs_millions: float, runtime_ms: float,
     if divisor < 1:
         raise ValueError(f"divisor {divisor} must be >= 1")
     return macs_millions / (runtime_ms * divisor)
-
-
-def improvement(ours: float, baseline: float) -> float:
-    """Efficiency ratio against a baseline; callers round for display."""
-    if baseline <= 0:
-        raise ValueError(f"baseline efficiency {baseline} must be positive")
-    return ours / baseline
 
 
 def predict_runtime(trace: TraceCounters, params: PerfParams) -> float:
@@ -104,55 +80,3 @@ def dense_trace(layer: LayerSpec) -> TraceCounters:
         channels = positions = layer.channels * layer.height * layer.width
     return stack_trace(layer.filters * positions, positions, channels,
                        math.prod(output_shape(layer)))
-
-
-def _as_macs_millions(work) -> float:
-    if isinstance(work, TraceCounters):
-        return work.macs_executed / 1e6
-    return float(work)
-
-
-def build_table(entries, params: PerfParams | None = None, baselines=None):
-    """Assemble efficiency rows from (name, work, runtime_ms) entries.
-
-    `work` is either a macs-in-millions number or a TraceCounters; a None
-    runtime is predicted from the trace. With `baselines` (a same-length
-    list of (work, runtime_ms) pairs) each entry also yields a baseline
-    row (normalized by `BASELINE_PARAMS`), placed before its counterpart,
-    and the entry row carries the efficiency ratio between the two.
-    """
-    params = params or PerfParams()
-    if baselines is not None and len(baselines) != len(entries):
-        raise ValueError(
-            f"{len(entries)} entries but {len(baselines)} baselines"
-        )
-    rows = []
-    for i, (name, work, runtime_ms) in enumerate(entries):
-        if runtime_ms is None:
-            if not isinstance(work, TraceCounters):
-                raise ValueError(f"{name}: runtime can only be predicted "
-                                 f"from a trace")
-            runtime_ms = predict_runtime(work, params)
-        macs = _as_macs_millions(work)
-        eff = efficiency_per_pe(macs, runtime_ms, params.efficiency_divisor)
-        gain = None
-        if baselines is not None:
-            base_work, base_runtime = baselines[i]
-            base_macs = _as_macs_millions(base_work)
-            base_eff = efficiency_per_pe(base_macs, base_runtime,
-                                         BASELINE_PARAMS.efficiency_divisor)
-            rows.append(LayerPerfRow(
-                name=f"{name} (baseline)",
-                macs_millions=base_macs,
-                runtime_ms=base_runtime,
-                efficiency=base_eff,
-            ))
-            gain = improvement(eff, base_eff)
-        rows.append(LayerPerfRow(
-            name=name,
-            macs_millions=macs,
-            runtime_ms=runtime_ms,
-            efficiency=eff,
-            improvement=gain,
-        ))
-    return rows

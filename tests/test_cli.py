@@ -48,6 +48,34 @@ FC1,fc,400000,0.4000,0.1960,0.5102,,,,,,500,1,800,800,infeasible: FC1: feature d
 FC2,fc,5000,0.0050,0.0204,0.0612,,,,,,10,1,500,500,infeasible: FC2: feature division applies to conv layers
 """
 
+# the paper's two networks at the default budgets: predicted ms and
+# efficiency of every layer
+REPORT_ALEXNET_CSV = """\
+layer,kind,macs,macs_millions,predicted_ms,efficiency,grid_h,grid_w,load_times,filter_weights,total_weights_loaded,batch_size,batches,features,total_features_loaded,note
+CONV1,conv,105415200,105.4152,44.2602,0.5954,4,4,16,34848,557568,66,2,154587,309174,
+CONV2,conv,447897600,447.8976,189.2090,0.5918,2,2,4,614400,2457600,256,1,69984,69984,
+CONV3,conv,149520384,149.5204,63.8929,0.5850,1,1,1,884736,884736,384,1,43264,43264,
+CONV4,conv,224280576,224.2806,95.8393,0.5850,1,1,1,1327104,1327104,384,1,64896,64896,
+CONV5,conv,149520384,149.5204,64.6861,0.5779,1,1,1,884736,884736,256,1,64896,64896,
+"""
+
+REPORT_VGG16_CSV = """\
+layer,kind,macs,macs_millions,predicted_ms,efficiency,grid_h,grid_w,load_times,filter_weights,total_weights_loaded,batch_size,batches,features,total_features_loaded,note
+CONV1-1,conv,86704128,86.7041,41.6502,0.5204,16,16,256,1728,442368,4,16,150528,2408448,
+CONV1-2,conv,1849688064,1849.6881,888.5386,0.5204,16,16,256,36864,9437184,4,16,3211264,51380224,
+CONV2-1,conv,924844032,924.8440,414.8297,0.5574,8,8,64,73728,4718592,16,8,802816,6422528,
+CONV2-2,conv,1849688064,1849.6881,829.6595,0.5574,8,8,64,147456,9437184,16,8,1605632,12845056,
+CONV3-1,conv,924844032,924.8440,400.1100,0.5779,4,4,16,294912,4718592,64,4,401408,1605632,
+CONV3-2,conv,1849688064,1849.6881,800.2200,0.5779,4,4,16,589824,9437184,64,4,802816,3211264,
+CONV3-3,conv,1849688064,1849.6881,800.2200,0.5779,4,4,16,589824,9437184,64,4,802816,3211264,
+CONV4-1,conv,924844032,924.8440,392.7501,0.5887,2,2,4,1179648,4718592,256,2,200704,401408,"published figures list 1 batches / 200704 features loaded, inconsistent with 512 filters at batch size 256"
+CONV4-2,conv,1849688064,1849.6881,785.5002,0.5887,2,2,4,2359296,9437184,256,2,401408,802816,
+CONV4-3,conv,1849688064,1849.6881,785.5002,0.5887,2,2,4,2359296,9437184,256,2,401408,802816,
+CONV5-1,conv,462422016,462.4220,196.3751,0.5887,1,1,1,2359296,2359296,512,1,100352,100352,
+CONV5-2,conv,462422016,462.4220,196.3751,0.5887,1,1,1,2359296,2359296,512,1,100352,100352,
+CONV5-3,conv,462422016,462.4220,196.3751,0.5887,1,1,1,2359296,2359296,512,1,100352,100352,
+"""
+
 PLAN_LENET_SMALL_BUDGETS_CSV = """\
 layer,kind,grid_h,grid_w,load_times,filter_weights,total_weights_loaded,batch_size,batches,features,total_features_loaded,note
 CONV1,conv,,,,,,,,,,"infeasible: CONV1: 14x14 output tiles for 20 filters need 3920 elements, budget is 3000; infeasible: CONV1: budget 500 cannot hold one 24x24 output plane"
@@ -270,6 +298,13 @@ class TestVerify:
         assert code == 0
         assert "deviation 0.000e+00" in out
 
+    def test_config_without_layers_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("# nothing here\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: config {str(path)!r} has no layers to verify\n"
+
 
 class TestMacs:
     def test_alexnet_exact_counts(self, capsys):
@@ -390,6 +425,12 @@ class TestReport:
         assert len(rows) == 6
         assert rows[1][2] == "105415200"
 
+    @pytest.mark.parametrize("clock", ["inf", "nan"])
+    def test_non_finite_clock_rejected(self, capsys, clock):
+        code, out, err = run(capsys, "report", "lenet", "--clock-mhz", clock)
+        assert code == 2 and out == ""
+        assert err == "error: clock_mhz must be positive and finite\n"
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv, expected", [
@@ -399,8 +440,10 @@ class TestGoldenOutput:
           "--csv"], PLAN_LENET_SMALL_BUDGETS_CSV),
         (["plan", "alexnet", "--div-budget", "100352", "--grp-budget",
           "200704", "--budget-max"], PLAN_ALEXNET_BUDGET_MAX),
+        (["report", "alexnet", "--csv"], REPORT_ALEXNET_CSV),
+        (["report", "vgg16", "--csv"], REPORT_VGG16_CSV),
     ], ids=["report-text", "report-csv", "plan-joined-notes-csv",
-            "plan-budget-max-text"])
+            "plan-budget-max-text", "report-alexnet-csv", "report-vgg16-csv"])
     def test_complete_output(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 

@@ -1,13 +1,12 @@
-"""Efficiency metrics, the runtime predictor, and table assembly."""
+"""Efficiency metrics, the runtime predictor, and the dense trace."""
 
 import math
 
 import numpy as np
 import pytest
 
-from csfsim import (LayerSpec, PerfParams, TraceCounters, build_table,
-                    dense_trace, efficiency_per_pe, improvement,
-                    predict_runtime, random_sparse_filters,
+from csfsim import (LayerSpec, PerfParams, TraceCounters, dense_trace,
+                    efficiency_per_pe, predict_runtime, random_sparse_filters,
                     run_layer_batched)
 
 
@@ -31,6 +30,12 @@ class TestPerfParams:
         with pytest.raises(ValueError):
             PerfParams(efficiency_divisor=0)
 
+    @pytest.mark.parametrize("clock", [math.inf, math.nan, -math.inf])
+    def test_non_finite_clock_rejected(self, clock):
+        with pytest.raises(ValueError, match="clock_mhz must be positive "
+                                             "and finite"):
+            PerfParams(clock_mhz=clock)
+
 
 class TestEfficiencyPerPe:
     def test_published_baseline_value(self):
@@ -51,19 +56,6 @@ class TestEfficiencyPerPe:
     def test_nonpositive_runtime_rejected(self):
         with pytest.raises(ValueError, match="runtime"):
             efficiency_per_pe(1.0, 0.0, 4)
-
-
-class TestImprovement:
-    def test_published_ratios(self):
-        assert improvement(0.3077, 0.0382) == pytest.approx(8.0, abs=0.1)
-        assert improvement(0.2410, 0.0220) == pytest.approx(11.0, abs=0.1)
-
-    def test_identity(self):
-        assert improvement(0.42, 0.42) == 1.0
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError, match="baseline"):
-            improvement(1.0, 0.0)
 
 
 class TestPredictRuntime:
@@ -116,40 +108,3 @@ class TestDenseTrace:
         _, trace = run_layer_batched(bank, np.zeros((2, 4, 4), np.float32),
                                      layer, 5)
         assert vars(dense_trace(layer)) == vars(trace)
-
-
-class TestBuildTable:
-    def test_single_row_without_baseline(self):
-        rows = build_table([("L", 100.0, 50.0)])
-        assert len(rows) == 1
-        assert rows[0].efficiency == pytest.approx(100.0 / (50.0 * 4))
-        assert rows[0].improvement is None
-
-    def test_baseline_pairing(self):
-        rows = build_table([("L", 100.0, 50.0)], baselines=[(200.0, 10.0)])
-        assert len(rows) == 2
-        assert rows[0].name == "L (baseline)"
-        assert rows[0].efficiency == pytest.approx(200.0 / (10.0 * 168))
-        assert rows[1].improvement == pytest.approx(
-            rows[1].efficiency / rows[0].efficiency)
-
-    def test_mismatched_baseline_length(self):
-        with pytest.raises(ValueError, match="baselines"):
-            build_table([("A", 1.0, 1.0), ("B", 1.0, 1.0)],
-                        baselines=[(1.0, 1.0)])
-
-    def test_trace_as_work(self):
-        trace = _trace(macs=5_000_000, instructions=3)
-        rows = build_table([("T", trace, 2.0)])
-        assert rows[0].macs_millions == pytest.approx(5.0)
-
-    def test_runtime_predicted_from_trace(self):
-        trace = _trace(macs=8_000, instructions=10)
-        params = PerfParams()
-        rows = build_table([("P", trace, None)], params=params)
-        assert rows[0].runtime_ms == pytest.approx(
-            predict_runtime(trace, params))
-
-    def test_runtime_none_needs_trace(self):
-        with pytest.raises(ValueError, match="predicted"):
-            build_table([("X", 10.0, None)])
