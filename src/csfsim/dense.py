@@ -16,6 +16,18 @@ one product row per kernel position in kernel row then column order, and
 adds the partial into the output once. Tiling changes which elements are
 computed together, never the sequence of float32 additions any one output
 element sees, so the bytes are those of the whole-plane loop.
+
+`dense_conv` also skips dead rows: (filter, channel) rows whose k*k
+weights are all +-0.0. Per channel it tiles only the live rows, with the
+same tiles and tap order, and adds each tile's partial into those rows of
+the output; a channel whose rows are all dead is skipped before its window
+planes are copied. Skipping is exact:
+
+- inputs are finite (`as_f32` rejects NaN and Inf), so a dead row's
+  partial sum stays +0.0;
+- the output never holds -0.0: it starts at +0.0, and a round-to-nearest
+  sum is -0.0 only when both operands are;
+- so adding that partial is a no-op.
 """
 
 from __future__ import annotations
@@ -84,14 +96,18 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     product = np.empty_like(partial)
     windows = np.empty((k * k, out_h, out_w), np.float32)
     rows = windows.reshape(k * k, pixels)
+    live = (w != 0).any(axis=(2, 3))
     for chi in range(layer.channels):
+        live_rows = np.flatnonzero(live[:, chi])
+        if not len(live_rows):
+            continue
         for r in range(k):
             for c in range(k):
                 windows[r * k + c] = _window_plane(padded, chi, r, c,
                                                    out_h, out_w, layer.stride)
-        taps = w[:, chi].reshape(filters, k * k)
-        for f0 in range(0, filters, filt_block):
-            f1 = min(filters, f0 + filt_block)
+        taps = w[:, chi].reshape(filters, k * k)[live_rows]
+        for f0 in range(0, len(taps), filt_block):
+            f1 = min(len(taps), f0 + filt_block)
             for p0 in range(0, pixels, pix_block):
                 p1 = min(pixels, p0 + pix_block)
                 part = partial[:f1 - f0, :p1 - p0]
@@ -103,7 +119,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
                     np.multiply(taps[f0:f1, t, None], rows[t, None, p0:p1],
                                 out=prod)
                     np.add(part, prod, out=part)
-                out[f0:f1, p0:p1] += part
+                out[live_rows[f0:f1], p0:p1] += part
     return out.reshape(filters, out_h, out_w)
 
 

@@ -39,7 +39,8 @@ class PerfParams:
                      "efficiency_divisor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.clock_mhz < math.inf:
+        # a clock whose kHz value overflows would price every layer at 0 ms
+        if not 0 < self.clock_mhz * 1000.0 < math.inf:
             raise ValueError("clock_mhz must be positive and finite")
 
 
@@ -64,7 +65,11 @@ def predict_runtime(trace: TraceCounters, params: PerfParams) -> float:
     compute_cycles = math.ceil(trace.macs_executed / params.pe_count)
     cycles = max(stream_cycles, compute_cycles) \
         + params.add_latency_cycles * trace.simd_instructions
-    return cycles / (params.clock_mhz * 1000.0)
+    ms = cycles / (params.clock_mhz * 1000.0)
+    if ms == math.inf:
+        raise ValueError(f"predicted runtime overflows at clock_mhz "
+                         f"{params.clock_mhz}")
+    return ms
 
 
 def dense_trace(layer: LayerSpec) -> TraceCounters:

@@ -425,11 +425,19 @@ class TestReport:
         assert len(rows) == 6
         assert rows[1][2] == "105415200"
 
-    @pytest.mark.parametrize("clock", ["inf", "nan"])
+    # 1e306 MHz is finite but its kHz value overflows
+    @pytest.mark.parametrize("clock", ["inf", "nan", "1e306"])
     def test_non_finite_clock_rejected(self, capsys, clock):
         code, out, err = run(capsys, "report", "lenet", "--clock-mhz", clock)
         assert code == 2 and out == ""
         assert err == "error: clock_mhz must be positive and finite\n"
+
+    # a subnormal or tiny normal clock prices lenet at inf ms
+    @pytest.mark.parametrize("clock", ["1e-320", "1e-306"])
+    def test_clock_too_slow_to_price_a_layer_rejected(self, capsys, clock):
+        code, out, err = run(capsys, "report", "lenet", "--clock-mhz", clock)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "clock_mhz" in err
 
 
 class TestGoldenOutput:

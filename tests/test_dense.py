@@ -1,10 +1,12 @@
 """Dense oracles against independently coded brute-force references."""
 
+import ast
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csfsim import (LayerSpec, as_f32, dense, dense_conv, dense_fc,
@@ -67,6 +69,26 @@ def _plane_conv(x, w, layer):
 def _matches_plane_conv_bytewise(x, w, layer):
     """Byte comparison, so a -0.0 where the reference has +0.0 shows."""
     return dense_conv(x, w, layer).tobytes() == _plane_conv(x, w, layer).tobytes()
+
+
+def _masked_bank(filters, channels, kernel, dead_shares, negative_zero, seed):
+    """Bank whose (filter, channel) rows are all zero at chosen shares.
+
+    Channel `chi` gets `round(dead_shares[chi] * filters)` rows with every
+    weight dropped; about half the weights of the other rows are dropped
+    too. A dropped weight is -0.0 with probability `negative_zero`, else
+    +0.0.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (filters, channels, kernel, kernel)
+    bank = (1.0 - rng.random(shape)) * np.where(rng.random(shape) < 0.5,
+                                                -1.0, 1.0)
+    drop = rng.random(shape) < 0.5
+    for chi, share in enumerate(dead_shares[:channels]):
+        drop[rng.permutation(filters)[:round(share * filters)], chi] = True
+    zeros = np.where(rng.random(shape) < negative_zero, -0.0, 0.0)
+    bank[drop] = zeros[drop]
+    return bank.astype(np.float32)
 
 
 def _brute_fc(x, w):
@@ -167,21 +189,43 @@ class TestDenseConv:
         assert _matches_plane_conv_bytewise(x, bank, layer)
         assert not np.signbit(dense_conv(x, bank, layer)).any()
 
-    @settings(max_examples=60, deadline=None)
-    @given(tile=st.integers(1, 200), channels=st.integers(1, 3),
+    # 17 filters in blocks of 2 (150-float tiles over 8 x 8 = 64 pixels):
+    # one wholly dead channel, one with 8 dead rows, one with 2 and one
+    # with none
+    @example(tile=150, channels=4, side=8, kernel=3, stride=1, filters=17,
+             dead_shares=[1.0, 0.5, 0.12, 0.0], negative_zero=0.5,
+             negative_input=False, seed=1)
+    # an all-zero bank, every dropped weight -0.0
+    @example(tile=200, channels=2, side=6, kernel=3, stride=1, filters=5,
+             dead_shares=[1.0, 1.0, 1.0, 1.0], negative_zero=1.0,
+             negative_input=True, seed=2)
+    # 144 output pixels in 7-float tiles: many pixel blocks per row block
+    @example(tile=7, channels=3, side=12, kernel=3, stride=1, filters=9,
+             dead_shares=[0.0, 0.3, 0.9, 0.0], negative_zero=1.0,
+             negative_input=True, seed=3)
+    @settings(max_examples=80, deadline=None)
+    @given(tile=st.integers(1, 200), channels=st.integers(1, 4),
            side=st.integers(3, 16), kernel=st.integers(1, 3),
-           filters=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+           stride=st.integers(1, 2), filters=st.integers(1, 20),
+           dead_shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           negative_zero=st.floats(0.0, 1.0), negative_input=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     def test_any_tile_size_matches_plane_reference(self, tile, channels, side,
-                                                  kernel, filters, seed):
+                                                  kernel, stride, filters,
+                                                  dead_shares, negative_zero,
+                                                  negative_input, seed):
         # tiles of 1 to 200 floats split small planes into many filter and
-        # pixel blocks with ragged edges
-        layer = LayerSpec("t", "conv", channels, side, side, kernel, 1, 1,
-                          filters)
-        bank = random_sparse_filters(layer, 0.7, seed)
+        # pixel blocks with ragged edges; the banks have dead rows and
+        # channels at any share, some dropped weights stored as -0.0
+        layer = LayerSpec("t", "conv", channels, side, side, kernel, stride,
+                          1, filters)
+        bank = _masked_bank(filters, channels, kernel, dead_shares,
+                            negative_zero, seed)
         x = _rand_input((channels, side, side), seed)
+        if negative_input:
+            x = -np.abs(x)
         with mock.patch.object(dense, "_TILE_FLOATS", tile):
-            tiled = dense_conv(x, bank, layer)
-        assert tiled.tobytes() == _plane_conv(x, bank, layer).tobytes()
+            assert _matches_plane_conv_bytewise(x, bank, layer)
 
     def test_linear_in_input(self):
         layer = LayerSpec("l", "conv", 2, 6, 6, 3, 1, 1, 4)
@@ -202,6 +246,22 @@ class TestDenseConv:
         layer = LayerSpec("m", "conv", 2, 6, 6, 3, 1, 0, 4)
         with pytest.raises(ValueError, match="dims"):
             dense_conv(np.zeros((3, 6, 6)), np.zeros((4, 2, 3, 3)), layer)
+
+
+def test_oracle_imports_only_layers():
+    # the oracle must stay independent of the codec and the engine it checks
+    tree = ast.parse(Path(dense.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                imported.add("." + (node.module or ""))
+            elif node.module.split(".")[0] == "csfsim":
+                imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names
+                            if alias.name.split(".")[0] == "csfsim")
+    assert imported == {".layers"}
 
 
 class TestDenseFc:

@@ -30,11 +30,17 @@ class TestPerfParams:
         with pytest.raises(ValueError):
             PerfParams(efficiency_divisor=0)
 
-    @pytest.mark.parametrize("clock", [math.inf, math.nan, -math.inf])
+    # 1e306 and 1.7e308 MHz are finite but their kHz values overflow
+    @pytest.mark.parametrize("clock", [math.inf, math.nan, -math.inf, 1e306,
+                                       1.7e308])
     def test_non_finite_clock_rejected(self, clock):
         with pytest.raises(ValueError, match="clock_mhz must be positive "
                                              "and finite"):
             PerfParams(clock_mhz=clock)
+
+    def test_extreme_clocks_with_finite_khz_accepted(self):
+        assert PerfParams(clock_mhz=5e-324).clock_mhz > 0
+        assert PerfParams(clock_mhz=1.7e305).clock_mhz < math.inf
 
 
 class TestEfficiencyPerPe:
@@ -77,6 +83,14 @@ class TestPredictRuntime:
         trace = _trace(macs=1000, instructions=7)
         cycles = max(math.ceil(1000 / 8), math.ceil(1000 / 8)) + 11 * 7
         assert predict_runtime(trace, params) == cycles / (299.97 * 1000.0)
+
+    # a subnormal clock, or a normal but tiny one, turns a large cycle
+    # count into inf ms
+    @pytest.mark.parametrize("clock", [5e-324, 1e-320, 1e-306])
+    def test_overflowing_runtime_rejected(self, clock):
+        params = PerfParams(clock_mhz=clock)
+        with pytest.raises(ValueError, match="clock_mhz"):
+            predict_runtime(_trace(macs=8 * 10 ** 6), params)
 
     def test_load_bound_side(self):
         params = PerfParams(pe_count=1000, weights_per_clock=1)
