@@ -7,27 +7,30 @@ output element (the engine flushes its register file into the output buffer
 once per channel); FC keeps a single flat running sum per output, walking
 the input in stream order.
 
-`dense_conv` works through the output in tiles of at most `_TILE_FLOATS`
-elements, a block of filters by a block of output pixels, so the tile's
-partial sums and its product buffer stay in cache and no step allocates a
-temporary. Per channel it first copies the k*k window planes into one
-contiguous scratch row each. Each tile then zeroes its partial sums, adds
-one product row per kernel position in kernel row then column order, and
-adds the partial into the output once. Tiling changes which elements are
-computed together, never the sequence of float32 additions any one output
-element sees, so the bytes are those of the whole-plane loop.
+`dense_conv` multiplies only the nonzero weights. Per channel it copies
+the k*k window planes into one contiguous scratch row each and lists the
+channel's nonzero weights tap-major: per kernel position in row then
+column order, the filters whose weight there is nonzero, ascending. It
+walks the output in tiles of every filter by up to `_PIXEL_BLOCK`
+pixels; each tile zeroes one partial sum per filter, adds one product
+row per listed (tap, filter) pair into that filter's partial, tap by
+tap, and adds the partials into the output once. A filter appears at
+most once per tap, so each product is added once. Tiling changes which
+elements are computed together, never the sequence of float32 additions
+any one output element sees.
 
-`dense_conv` also skips dead rows: (filter, channel) rows whose k*k
-weights are all +-0.0. Per channel it tiles only the live rows, with the
-same tiles and tap order, and adds each tile's partial into those rows of
-the output; a channel whose rows are all dead is skipped before its window
-planes are copied. Skipping is exact:
+`_PIXEL_BLOCK` is a floor on the row length, not a cache budget: numpy's
+broadcast multiply costs 3-5x more per element on rows shorter than
+about 3000 floats, which it runs through its ufunc buffer.
 
-- inputs are finite (`as_f32` rejects NaN and Inf), so a dead row's
-  partial sum stays +0.0;
-- the output never holds -0.0: it starts at +0.0, and a round-to-nearest
-  sum is -0.0 only when both operands are;
-- so adding that partial is a no-op.
+Skipping zero weights is exact, by one rule: a partial sum starts at
++0.0 and round-to-nearest addition gives -0.0 only when both operands
+are -0.0, so a partial is never -0.0. Inputs are finite (`as_f32`
+rejects NaN and Inf), so a zero weight's product is +-0.0, and adding
++-0.0 to a partial that is not -0.0 leaves it unchanged. The same rule
+keeps the output, which starts at +0.0, free of -0.0, so a channel with
+no nonzero weight is skipped before its window planes are copied. The
+bytes are those of the whole-plane loop over every weight.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ import numpy as np
 
 from .layers import LayerSpec, output_shape
 
-# float32 elements per dense_conv tile buffer (256 KB), so a tile's
-# partial sums and products stay in a per-core L2 cache
-_TILE_FLOATS = 1 << 16
+# output pixels per dense_conv tile: long enough that product rows skip
+# numpy's ufunc buffer (see the module docstring); a tile's partial sums
+# are filters x _PIXEL_BLOCK floats
+_PIXEL_BLOCK = 1 << 12
 
 
 def as_f32(values, dims=None) -> np.ndarray:
@@ -90,36 +94,34 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     k, filters, pixels = layer.kernel, w.shape[0], out_h * out_w
     padded = pad_channels(x, layer.pad)
     out = np.zeros((filters, pixels), np.float32)
-    pix_block = min(pixels, _TILE_FLOATS)
-    filt_block = max(1, min(filters, _TILE_FLOATS // pix_block))
-    partial = np.empty((filt_block, pix_block), np.float32)
-    product = np.empty_like(partial)
+    pix_block = min(pixels, _PIXEL_BLOCK)
+    partial = np.empty((filters, pix_block), np.float32)
     windows = np.empty((k * k, out_h, out_w), np.float32)
     rows = windows.reshape(k * k, pixels)
-    live = (w != 0).any(axis=(2, 3))
     for chi in range(layer.channels):
-        live_rows = np.flatnonzero(live[:, chi])
-        if not len(live_rows):
+        taps = w[:, chi].reshape(filters, k * k).T
+        # nonzero (tap, filter) pairs in that order; tap t's pairs are
+        # bounds[t]:bounds[t + 1]
+        tap, filt = np.nonzero(taps)
+        if not len(tap):
             continue
+        weight = taps[tap, filt][:, None]
+        bounds = np.searchsorted(tap, np.arange(k * k + 1))
         for r in range(k):
             for c in range(k):
                 windows[r * k + c] = _window_plane(padded, chi, r, c,
                                                    out_h, out_w, layer.stride)
-        taps = w[:, chi].reshape(filters, k * k)[live_rows]
-        for f0 in range(0, len(taps), filt_block):
-            f1 = min(len(taps), f0 + filt_block)
-            for p0 in range(0, pixels, pix_block):
-                p1 = min(pixels, p0 + pix_block)
-                part = partial[:f1 - f0, :p1 - p0]
-                prod = product[:f1 - f0, :p1 - p0]
-                # start from +0.0 like a zeroed register file, so a lone
-                # -0.0 product still sums to +0.0
-                part.fill(0.0)
-                for t in range(k * k):
-                    np.multiply(taps[f0:f1, t, None], rows[t, None, p0:p1],
-                                out=prod)
-                    np.add(part, prod, out=part)
-                out[live_rows[f0:f1], p0:p1] += part
+        for p0 in range(0, pixels, pix_block):
+            p1 = min(pixels, p0 + pix_block)
+            part = partial[:, :p1 - p0]
+            # start from +0.0 like a zeroed register file, so a lone
+            # -0.0 product still sums to +0.0
+            part.fill(0.0)
+            for t in range(k * k):
+                lo, hi = bounds[t], bounds[t + 1]
+                if hi > lo:
+                    part[filt[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
+            out[:, p0:p1] += part
     return out.reshape(filters, out_h, out_w)
 
 

@@ -39,13 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CsfStream, encode_csf, stack_filters
-from .dense import _TILE_FLOATS, _window_plane, as_f32, pad_channels
+from .dense import _window_plane, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
 # float32 elements per run_conv channel block (1 MB): the block's partial
 # sums (channels x filters x windows) and its window rows (channels x
-# taps x windows) each stay within it; a block holds at least one channel
-_BLOCK_FLOATS = 4 * _TILE_FLOATS
+# taps x windows) each stay within it, which bounds the run's scratch
+# memory while a block on a small plane still spans many channels, so
+# one scatter per tap covers them all; a block holds at least one channel
+_BLOCK_FLOATS = 1 << 18
 
 
 @dataclass

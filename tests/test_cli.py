@@ -2,11 +2,16 @@
 
 import csv
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csfsim
 from csfsim import (CsfStream, LayerSpec, deserialize_csf, quantize_shift,
                     random_sparse_filters, serialize_csf)
 from csfsim.cli import (_first_mismatch, main, read_weight_bank,
@@ -328,6 +333,19 @@ class TestMacs:
         code, out, _ = run(capsys, "macs", str(path), "--csv")
         assert code == 0
         assert out.splitlines() == ["layer,kind,macs,millions"]
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        # the package this suite imports, not whichever one is installed
+        src = str(Path(csfsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "csfsim", "macs", "lenet"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path})
+        _, out, _ = run(capsys, "macs", "lenet")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
 
 
 class TestPlan:

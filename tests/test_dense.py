@@ -71,24 +71,62 @@ def _matches_plane_conv_bytewise(x, w, layer):
     return dense_conv(x, w, layer).tobytes() == _plane_conv(x, w, layer).tobytes()
 
 
-def _masked_bank(filters, channels, kernel, dead_shares, negative_zero, seed):
-    """Bank whose (filter, channel) rows are all zero at chosen shares.
+def _bank_where(keep, negative_zero, seed):
+    """Bank with nonzero weights in [-1, 1] where `keep` holds.
 
-    Channel `chi` gets `round(dead_shares[chi] * filters)` rows with every
-    weight dropped; about half the weights of the other rows are dropped
-    too. A dropped weight is -0.0 with probability `negative_zero`, else
-    +0.0.
+    The other weights are zero: -0.0 with probability `negative_zero`,
+    else +0.0.
     """
     rng = np.random.default_rng(seed)
-    shape = (filters, channels, kernel, kernel)
-    bank = (1.0 - rng.random(shape)) * np.where(rng.random(shape) < 0.5,
-                                                -1.0, 1.0)
-    drop = rng.random(shape) < 0.5
-    for chi, share in enumerate(dead_shares[:channels]):
-        drop[rng.permutation(filters)[:round(share * filters)], chi] = True
+    shape = keep.shape
+    nonzero = (1.0 - rng.random(shape)) * np.where(rng.random(shape) < 0.5,
+                                                   -1.0, 1.0)
     zeros = np.where(rng.random(shape) < negative_zero, -0.0, 0.0)
-    bank[drop] = zeros[drop]
-    return bank.astype(np.float32)
+    return np.where(keep, nonzero, zeros).astype(np.float32)
+
+
+@st.composite
+def _sparse_banks(draw):
+    """Banks with zeros at single weights.
+
+    Each channel keeps each of its weights with its own drawn share, so
+    dead taps, rows and channels and wholly dense channels all occur.
+    """
+    filters = draw(st.integers(1, 20))
+    channels = draw(st.integers(1, 4))
+    kernel = draw(st.integers(1, 3))
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=channels,
+                           max_size=channels))
+    negative_zero = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = (filters, channels, kernel, kernel)
+    keep = (np.random.default_rng(seed).random(shape)
+            < np.reshape(shares, (1, channels, 1, 1)))
+    return _bank_where(keep, negative_zero, seed)
+
+
+def _pinned_keep(edit=None):
+    """A 6-filter, 3-channel 3x3 mask keeping about a third of the weights.
+
+    `edit`, if given, changes it in place.
+    """
+    keep = np.random.default_rng(5).random((6, 3, 3, 3)) < 0.35
+    if edit:
+        edit(keep)
+    return keep
+
+
+def _dense_tap(keep):
+    keep[:, 1, 1, 1] = True
+
+
+def _last_tap_only(keep):
+    keep[:, 1] = False
+    keep[2, 1, 2, 2] = True
+
+
+def _zero_channel(keep):
+    keep[:, 1] = False
 
 
 def _brute_fc(x, w):
@@ -154,15 +192,16 @@ class TestDenseConv:
         assert np.array_equal(dense_conv(x, bank, layer),
                               _brute_conv(x, bank, layer))
 
-    def test_filters_not_a_multiple_of_the_filter_block(self):
-        # 784 pixels per tile row leaves 83 filters per block: 83 + 17
+    def test_pixels_not_a_multiple_of_the_pixel_block(self):
+        # 784 pixels in blocks of 100: seven whole tiles and one of 84
         layer = LayerSpec("fb", "conv", 3, 28, 28, 1, 1, 0, 100)
         bank = random_sparse_filters(layer, 0.5, 1)
         x = _rand_input((3, 28, 28), 2)
-        assert _matches_plane_conv_bytewise(x, bank, layer)
+        with mock.patch.object(dense, "_PIXEL_BLOCK", 100):
+            assert _matches_plane_conv_bytewise(x, bank, layer)
 
     def test_plane_larger_than_one_tile(self):
-        # 258 x 258 = 66564 output pixels split into two pixel blocks
+        # 258 x 258 = 66564 output pixels split into 17 pixel blocks
         layer = LayerSpec("pb", "conv", 1, 260, 260, 3, 1, 0, 1)
         bank = random_sparse_filters(layer, 1.0, 3)
         x = _rand_input((1, 260, 260), 4)
@@ -189,42 +228,36 @@ class TestDenseConv:
         assert _matches_plane_conv_bytewise(x, bank, layer)
         assert not np.signbit(dense_conv(x, bank, layer)).any()
 
-    # 17 filters in blocks of 2 (150-float tiles over 8 x 8 = 64 pixels):
-    # one wholly dead channel, one with 8 dead rows, one with 2 and one
-    # with none
-    @example(tile=150, channels=4, side=8, kernel=3, stride=1, filters=17,
-             dead_shares=[1.0, 0.5, 0.12, 0.0], negative_zero=0.5,
-             negative_input=False, seed=1)
-    # an all-zero bank, every dropped weight -0.0
-    @example(tile=200, channels=2, side=6, kernel=3, stride=1, filters=5,
-             dead_shares=[1.0, 1.0, 1.0, 1.0], negative_zero=1.0,
-             negative_input=True, seed=2)
-    # 144 output pixels in 7-float tiles: many pixel blocks per row block
-    @example(tile=7, channels=3, side=12, kernel=3, stride=1, filters=9,
-             dead_shares=[0.0, 0.3, 0.9, 0.0], negative_zero=1.0,
-             negative_input=True, seed=3)
+    # every filter nonzero at channel 1's centre tap
+    @example(block=7, side=12, stride=1, negative_input=False, seed=1,
+             bank=_bank_where(_pinned_keep(_dense_tap), 0.5, 1))
+    # channel 1's only nonzero weight sits at its last tap
+    @example(block=7, side=12, stride=1, negative_input=False, seed=2,
+             bank=_bank_where(_pinned_keep(_last_tap_only), 0.5, 2))
+    # channel 1 wholly zero, between two live channels
+    @example(block=7, side=12, stride=1, negative_input=False, seed=3,
+             bank=_bank_where(_pinned_keep(_zero_channel), 0.5, 3))
+    # every zero -0.0 and every input negative, so skipped products are
+    # +0.0 and -0.0 alike
+    @example(block=7, side=12, stride=2, negative_input=True, seed=4,
+             bank=_bank_where(_pinned_keep(), 1.0, 4))
     @settings(max_examples=80, deadline=None)
-    @given(tile=st.integers(1, 200), channels=st.integers(1, 4),
-           side=st.integers(3, 16), kernel=st.integers(1, 3),
-           stride=st.integers(1, 2), filters=st.integers(1, 20),
-           dead_shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
-           negative_zero=st.floats(0.0, 1.0), negative_input=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_any_tile_size_matches_plane_reference(self, tile, channels, side,
-                                                  kernel, stride, filters,
-                                                  dead_shares, negative_zero,
-                                                  negative_input, seed):
-        # tiles of 1 to 200 floats split small planes into many filter and
-        # pixel blocks with ragged edges; the banks have dead rows and
-        # channels at any share, some dropped weights stored as -0.0
+    @given(block=st.integers(1, 200), side=st.integers(3, 16),
+           stride=st.integers(1, 2), negative_input=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), bank=_sparse_banks())
+    def test_any_tile_size_matches_plane_reference(self, block, side,
+                                                   stride, negative_input,
+                                                   seed, bank):
+        # pixel blocks of 1 to 200 split small planes into many tiles with
+        # ragged edges; the banks have zeros at single weights, some
+        # stored as -0.0, and the reference multiplies every weight
+        filters, channels, kernel, _ = bank.shape
         layer = LayerSpec("t", "conv", channels, side, side, kernel, stride,
                           1, filters)
-        bank = _masked_bank(filters, channels, kernel, dead_shares,
-                            negative_zero, seed)
         x = _rand_input((channels, side, side), seed)
         if negative_input:
             x = -np.abs(x)
-        with mock.patch.object(dense, "_TILE_FLOATS", tile):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", block):
             assert _matches_plane_conv_bytewise(x, bank, layer)
 
     def test_linear_in_input(self):
