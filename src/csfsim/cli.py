@@ -164,32 +164,38 @@ def _first_mismatch(expected: np.ndarray, actual: np.ndarray) -> str:
             f"{float(want):.9g}, actual {float(got):.9g}, {ulps} ulp")
 
 
+def _verify_layer(layer: LayerSpec, layer_seed: int, args) -> bool:
+    """Run one layer through the engine and its oracle; prints its line.
+
+    A function of its own so the layer's bank and outputs are freed
+    before the next layer's are made.
+    """
+    bank = random_sparse_filters(layer, args.density, layer_seed)
+    features = _verify_input(layer, layer_seed + 3571)
+    if layer.kind == "conv":
+        expected = dense_conv(features, bank, layer)
+    else:
+        expected = dense_fc(features, bank, layer)
+    if args.corrupt_layer == layer.name:
+        bank = bank.copy()
+        bank[0, 0, 0, 0] += 1.0
+    batch = min(layer.filters, args.batch_size)
+    actual, trace = run_layer_batched(bank, features, layer, batch)
+    exact = actual.shape == expected.shape and np.array_equal(actual, expected)
+    deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
+    verdict = "PASS" if exact else "FAIL"
+    where = "" if exact else _first_mismatch(expected, actual)
+    print(f"{layer.name}: {verdict} (max abs deviation {deviation:.3e}, "
+          f"{trace.macs_executed} macs{where})")
+    return exact
+
+
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     if not config.layers:
         raise ValueError(f"config {args.config!r} has no layers to verify")
-    failures = 0
-    for i, layer in enumerate(config):
-        layer_seed = args.seed + 7919 * i
-        bank = random_sparse_filters(layer, args.density, layer_seed)
-        features = _verify_input(layer, layer_seed + 3571)
-        if layer.kind == "conv":
-            expected = dense_conv(features, bank, layer)
-        else:
-            expected = dense_fc(features, bank, layer)
-        run_bank = bank
-        if args.corrupt_layer == layer.name:
-            run_bank = bank.copy()
-            run_bank[0, 0, 0, 0] += 1.0
-        batch = min(layer.filters, args.batch_size)
-        actual, trace = run_layer_batched(run_bank, features, layer, batch)
-        exact = actual.shape == expected.shape and np.array_equal(actual, expected)
-        deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
-        verdict = "PASS" if exact else "FAIL"
-        where = "" if exact else _first_mismatch(expected, actual)
-        print(f"{layer.name}: {verdict} (max abs deviation {deviation:.3e}, "
-              f"{trace.macs_executed} macs{where})")
-        failures += 0 if exact else 1
+    failures = sum(not _verify_layer(layer, args.seed + 7919 * i, args)
+                   for i, layer in enumerate(config))
     print(f"{len(config.layers) - failures}/{len(config.layers)} layers passed")
     return 0 if failures == 0 else 1
 

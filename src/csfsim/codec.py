@@ -190,13 +190,20 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     if m > 0xFFFF:
         raise CsfRangeError(f"{m} stacked filters exceeds the u16 index field")
     flat = arr.reshape(positions, m)
-    pos, idx = np.nonzero(flat)
+    # flat indices of the nonzeros in (position, filter) order, as
+    # np.nonzero(flat) lists them. The bool mask dies with the call and
+    # `nonzero` once split, so encoding holds no more memory than
+    # np.nonzero's two index arrays would
+    nonzero = np.flatnonzero(flat != 0)
+    weights = flat.reshape(-1)[nonzero]
+    pos, idx = np.divmod(nonzero, m)
+    del nonzero
     rel = np.diff(idx, prepend=0)
     first = np.diff(pos, prepend=-1) != 0
     rel[first] = idx[first]
     counts = np.bincount(pos, minlength=flat.shape[0])
-    return CsfStream(profile, m, channels, kernel, counts, rel,
-                     flat[pos, idx], quantized)
+    return CsfStream(profile, m, channels, kernel, counts, rel, weights,
+                     quantized)
 
 
 def decode_csf(stream: CsfStream) -> np.ndarray:

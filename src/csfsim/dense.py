@@ -44,6 +44,10 @@ from .layers import LayerSpec, output_shape
 # are filters x _PIXEL_BLOCK floats
 _PIXEL_BLOCK = 1 << 12
 
+# weights random_sparse_filters writes per chunk: its scratch is three
+# float64 draws of this length (1.5 MB), whatever the bank's size
+_GEN_CHUNK = 1 << 16
+
 
 def as_f32(values, dims=None) -> np.ndarray:
     """Coerce to a C-contiguous float32 array; rejects NaN/Inf values."""
@@ -149,11 +153,20 @@ def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
 def random_sparse_filters(layer: LayerSpec, density: float, seed: int) -> np.ndarray:
     """Deterministic sparse filter bank for a layer.
 
-    Draws from numpy's default PCG64 stream seeded with `seed`: a keep mask
-    with nonzero probability `density`, then magnitudes uniform in (0, 1]
-    (never exactly zero), then a random sign, in that order. The same seed
-    always yields the same bank. Dropped weights are +0.0, never -0.0, so
-    an encode/decode roundtrip gives the bank back byte for byte.
+    Reads numpy's PCG64 stream seeded with `seed` as three segments of n
+    doubles each, n the bank's weight count: draws 0..n-1 keep a weight
+    when below `density`, draws n..2n-1 give magnitudes 1 - u in (0, 1]
+    (never exactly zero), and draws 2n..3n-1 make a weight negative when
+    below 0.5. These are the draws of `default_rng(seed).random(shape)`
+    called three times. The same seed always yields the same bank, and
+    dropped weights are +0.0, never -0.0, so an encode/decode roundtrip
+    gives the bank back byte for byte.
+
+    The bank is written in C order, `_GEN_CHUNK` weights at a time: one
+    generator per segment jumps to its start with `advance` (PCG64 spends
+    one 64-bit output per double), so a chunk reads the same draws the
+    whole-bank draw gives at its offsets, and the float64 scratch stays
+    three chunks long whatever the bank's size.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
@@ -161,13 +174,26 @@ def random_sparse_filters(layer: LayerSpec, density: float, seed: int) -> np.nda
         shape = (layer.filters, layer.channels, layer.kernel, layer.kernel)
     else:
         shape = (layer.filters, layer.channels, layer.height, layer.width)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(shape) < density
-    magnitude = 1.0 - rng.random(shape)
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    # zeroed in place: multiplying by the mask would make dropped weights
-    # with a negative sign -0.0, and np.where would hold one more
-    # bank-sized temporary
-    weights = sign * magnitude
-    weights[~keep] = 0.0
-    return weights.astype(np.float32)
+    bank = np.empty(shape, np.float32)
+    flat = bank.reshape(-1)
+    n = flat.size
+    keep_rng, magnitude_rng, sign_rng = (
+        np.random.Generator(np.random.PCG64(seed).advance(segment * n))
+        for segment in range(3))
+    size = min(n, _GEN_CHUNK)
+    keep, magnitude, sign = (np.empty(size) for _ in range(3))
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        k, w, s = keep[:m], magnitude[:m], sign[:m]
+        keep_rng.random(out=k)
+        magnitude_rng.random(out=w)
+        sign_rng.random(out=s)
+        np.subtract(1.0, w, out=w)
+        # s - 0.5 is negative exactly when s < 0.5; 0.5 itself gives +0.0,
+        # which keeps the weight positive
+        np.subtract(s, 0.5, out=s)
+        np.copysign(w, s, out=w)
+        # dropped weights become +0.0 whatever their sign
+        np.putmask(w, k >= density, 0.0)
+        flat[start:start + m] = w
+    return bank

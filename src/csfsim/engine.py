@@ -13,18 +13,24 @@ same float32 sums in the same per-element order with vectorized sweeps
 across output coordinates and filters, so the two paths agree bit for bit.
 
 `run_conv` regroups a stream's entries tap-major, by (kernel tap,
-channel, filter), and walks the input in blocks of whole channels, sized
-so a block's partial sums and window rows each stay within
-`_BLOCK_FLOATS`. Per block it copies each tap's window rows, zeroes one
-register row per (channel, filter) and then, tap by tap in kernel row
-then column order, gathers the window rows the tap's entries read,
-multiplies them by their weights and adds them into their registers in
-one scatter. Finally it flushes the registers into the output one channel
-at a time, in channel order. This is exact: registers of different
-channels never mix, a (channel, filter) register appears at most once
-per tap so the scatter adds each product once, and each output element
-still sees, per channel, +0.0 plus that channel's products in tap order,
-then one flush per channel.
+channel, filter), and walks the input in blocks of whole channels: as
+many as keep a block's registers and its window rows each within
+`_BLOCK_FLOATS`, and at least one. Per block it copies each tap's window
+rows. A channel whose registers alone exceed `_REGISTER_FLOATS` (a
+large plane) is cut into the fewest equal pixel tiles within it; per
+tile it zeroes one register row per (channel, filter) and then, tap by
+tap in kernel row then column order, gathers the tile's window rows the
+tap's entries read, multiplies them by their weights and adds them into
+their registers in one scatter. Finally it flushes the registers into
+the output one channel at a time, in channel order. This is exact:
+registers of different channels never mix, a (channel, filter) register
+appears at most once per tap so the scatter adds each product once, and
+each output element still sees, per channel, +0.0 plus that channel's
+products in tap order, then one flush per channel; a tile only decides
+which elements are computed together. So the registers, and one tap's
+products, stay within `_REGISTER_FLOATS` give or take one per filter,
+whatever the plane; only one channel's window rows may exceed
+`_BLOCK_FLOATS`.
 
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
@@ -42,12 +48,20 @@ from .codec import CsfStream, encode_csf, stack_filters
 from .dense import _window_plane, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
-# float32 elements per run_conv channel block (1 MB): the block's partial
-# sums (channels x filters x windows) and its window rows (channels x
-# taps x windows) each stay within it, which bounds the run's scratch
-# memory while a block on a small plane still spans many channels, so
-# one scatter per tap covers them all; a block holds at least one channel
+# float32 elements per run_conv channel block (1 MB): a block spans as
+# many whole channels as keep its registers (channels x filters x
+# windows) and its window rows (channels x taps x windows) each within
+# it, so on a small plane one scatter per tap covers many channels. A
+# block holds at least one channel, whose window rows may exceed it
 _BLOCK_FLOATS = 1 << 18
+
+# float32 registers per run_conv pixel tile (4 MB): a channel whose
+# registers (filters x windows) exceed it runs in the fewest equal pixel
+# tiles within it, give or take one register per filter. Measured on
+# 64-filter stacks: this leaves VGG16 CONV2-1 (112x112 windows) whole and
+# cuts CONV1-1 into four tiles; a 1 MB bound made CONV2-1 slower, with
+# four times as many shorter gathers and scatters per tap
+_REGISTER_FLOATS = 1 << 20
 
 
 @dataclass
@@ -171,8 +185,14 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                          dtype=np.int64)))
     block = min(channels,
                 max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
+    # the fewest equal pixel tiles that keep one channel's registers
+    # within _REGISTER_FLOATS
+    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
+    tile = -(-windows // tiles)
     window_rows = np.empty((taps, block, out_h, out_w), np.float32)
-    partial = np.empty((block, filters, windows), np.float32)
+    # flat, so a short last tile's registers are still one contiguous
+    # (channel, filter) x pixels array
+    partial = np.empty(block * filters * tile, np.float32)
     out = np.zeros((filters, windows), np.float32)
     for c0 in range(0, channels, block):
         c1 = min(channels, c0 + block)
@@ -182,19 +202,21 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                 rows[r * k + col] = _window_plane(
                     padded, slice(c0, c1), r, col, out_h, out_w, stride)
         rows = rows.reshape(taps, c1 - c0, windows)
-        part = partial[:c1 - c0]
-        # start from +0.0 like a zeroed register file
-        part.fill(0.0)
-        registers = part.reshape(-1, windows)
-        for t in range(taps):
-            lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
-            if hi > lo:
-                product = rows[t][chan[lo:hi] - c0]
-                product *= weight[lo:hi]
-                # each (channel, filter) register appears once per tap
-                registers[register[lo:hi] - c0 * filters] += product
-        for chan_partial in part:
-            out += chan_partial
+        for p0 in range(0, windows, tile):
+            p1 = min(windows, p0 + tile)
+            registers = partial[:(c1 - c0) * filters * (p1 - p0)].reshape(
+                (c1 - c0) * filters, p1 - p0)
+            # start from +0.0 like a zeroed register file
+            registers.fill(0.0)
+            for t in range(taps):
+                lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
+                if hi > lo:
+                    product = rows[t, :, p0:p1][chan[lo:hi] - c0]
+                    product *= weight[lo:hi]
+                    # each (channel, filter) register appears once per tap
+                    registers[register[lo:hi] - c0 * filters] += product
+            for chan_registers in registers.reshape(c1 - c0, filters, p1 - p0):
+                out[:, p0:p1] += chan_registers
     return out.reshape(filters, out_h, out_w), stack_trace(
         stream.total_nnz, stream.position_count, channels, windows)
 
@@ -221,31 +243,36 @@ def run_fc(stream: CsfStream, features):
         stream.total_nnz, stream.position_count, stream.channels, 1)
 
 
+def _run_stack(bank: np.ndarray, start: int, size: int, features,
+               layer: LayerSpec):
+    """Encode filters start:start + size and run them; (output, counters)."""
+    stream = encode_csf(stack_filters(bank, start, size), layer.kind)
+    if layer.kind == "conv":
+        return run_conv(stream, features, layer)
+    return run_fc(stream, features)
+
+
 def run_layer_batched(weights, features, layer: LayerSpec, batch_size: int):
     """Run a whole filter bank in stacks of at most batch_size filters.
 
-    Encodes each stack, executes it, and concatenates the outputs in filter
-    order; counters accumulate across stacks. Returns (output, counters).
-    An empty bank runs no stack: its output has no filters and its counters
-    are zero.
+    Encodes each stack, executes it, and writes its output into the rows
+    of its filters; counters accumulate across stacks. Returns (output,
+    counters). A bank of one stack returns that stack's output as it is;
+    an empty bank runs no stack: its output has no filters and its
+    counters are zero.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} must be >= 1")
     bank = as_f32(weights)
     total = bank.shape[0]
-    if total == 0:
-        out_w, out_h = output_shape(layer)
-        return np.zeros((0, out_h, out_w), np.float32), TraceCounters()
-    outputs = []
+    if 0 < total <= batch_size:
+        return _run_stack(bank, 0, total, features, layer)
+    out_w, out_h = output_shape(layer)
+    out = np.empty((total, out_h, out_w), np.float32)
     counters = TraceCounters()
     for start in range(0, total, batch_size):
         size = min(batch_size, total - start)
-        stacked = stack_filters(bank, start, size)
-        stream = encode_csf(stacked, layer.kind)
-        if layer.kind == "conv":
-            out, trace = run_conv(stream, features, layer)
-        else:
-            out, trace = run_fc(stream, features)
-        outputs.append(out)
+        out[start:start + size], trace = _run_stack(bank, start, size,
+                                                    features, layer)
         counters += trace
-    return np.concatenate(outputs, axis=0), counters
+    return out, counters

@@ -1,6 +1,7 @@
 """Dense oracles against independently coded brute-force references."""
 
 import ast
+import hashlib
 from pathlib import Path
 from unittest import mock
 
@@ -363,3 +364,89 @@ class TestRandomSparseFilters:
         layer = LayerSpec("e", "conv", 1, 4, 4, 3, 1, 0, 1)
         with pytest.raises(ValueError, match="density"):
             random_sparse_filters(layer, 1.5, 0)
+
+
+def _whole_bank_reference(layer, density, seed):
+    """The generator as three whole-bank float64 draws, cast at the end."""
+    if layer.kind == "conv":
+        shape = (layer.filters, layer.channels, layer.kernel, layer.kernel)
+    else:
+        shape = (layer.filters, layer.channels, layer.height, layer.width)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(shape) < density
+    magnitude = 1.0 - rng.random(shape)
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    weights = sign * magnitude
+    weights[~keep] = 0.0
+    return weights.astype(np.float32)
+
+
+# shapes for the pinned digests: whole layers, a bank of exactly one
+# generation chunk (128 * 128 * 2 * 2 = 65536 weights) and one of 4.5
+# chunks (256 * 128 * 3 * 3)
+_GOLDEN_LAYERS = {
+    "vgg16-conv1-1": LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64),
+    "alexnet-conv1": LayerSpec("CONV1", "conv", 3, 227, 227, 11, 4, 0, 96),
+    "conv-one-chunk": LayerSpec("C", "conv", 128, 8, 8, 2, 1, 0, 128),
+    "conv-4.5-chunks": LayerSpec("C", "conv", 128, 28, 28, 3, 1, 1, 256),
+    "lenet-fc1": LayerSpec("FC1", "fc", 50, 4, 4, 1, 1, 0, 500),
+    "lenet-fc2": LayerSpec("FC2", "fc", 500, 1, 1, 1, 1, 0, 10),
+}
+
+# sha256 over the banks of seeds 0, 11 and 4001 in turn, as the
+# whole-bank three-draw generator wrote them
+_GOLDEN_DIGESTS = {
+    ("vgg16-conv1-1", 0.0): "92e3526074bf8e81011b4d0e3c4f91ae99dddafd62b216c28087afdbee919c34",
+    ("vgg16-conv1-1", 0.1): "b76e8ae316b2c1cd2c58d13a06fa95402f59eb203b0d261cb52eee3004667a2f",
+    ("vgg16-conv1-1", 0.5): "fb858b05b715e663e5c885f48568c863f5a792e3d4d09900eebc5908a840e322",
+    ("vgg16-conv1-1", 1.0): "5724f904c8884bac127190f0bfa65377d65dde020ea17f26b69a46e105c36fcd",
+    ("alexnet-conv1", 0.0): "1bdf4e8a74a5c9e1ee65417c833253a279f11719caf3233c80df4dff7258f805",
+    ("alexnet-conv1", 0.1): "10c4fc7b836fe4d6d8354ecfcb68a201691e8f57aaaaadc1e4045bd74cf98bd6",
+    ("alexnet-conv1", 0.5): "03536dc87e9ade16dd9cdedefa6e93ff7196b8ac0e4babc320ad3d18336b1481",
+    ("alexnet-conv1", 1.0): "dd0c0236bfe46efaee27a5be482b6fbcf129026ed2a152ae449c1cbe7a54361c",
+    ("conv-one-chunk", 0.0): "599c1bb5ffd4b87229a81958f33f1060821cd01cd7aa7ccafa0d862f4522f3f6",
+    ("conv-one-chunk", 0.1): "22e2c1c5d79138a5dd0f746b6bb5d15bb2b79e55d88800585fbf53d3e1200566",
+    ("conv-one-chunk", 0.5): "8166b6a5bf79f54e7fa75dc43e544995415cb027026fd62d091babe79ea7f9b2",
+    ("conv-one-chunk", 1.0): "5e55e9410937f34380b146bcecf8a8ac6e2b89596558e94ce968f6901f48bc96",
+    ("conv-4.5-chunks", 0.0): "5954ceccd88af0372fdb44664cf8ea76c5e24e1f88b64c87f911abac9ba149fd",
+    ("conv-4.5-chunks", 0.1): "3a9ef3aa410e126b1e050e19b5958e3b6e9fec69995135edd0c36ce3b90b5569",
+    ("conv-4.5-chunks", 0.5): "53a2706badb8834cea28663aa3d4082b18c91362b9cee274d239a7acee4fe02a",
+    ("conv-4.5-chunks", 1.0): "c8cf586bcabc2022ea57bc41f1f3c730ab3be641b00336bcd5cab08b8bc860e8",
+    ("lenet-fc1", 0.0): "58db5d87ffe2173badb59360da4e636ae85862569d4aae0097c7083cabf9763a",
+    ("lenet-fc1", 0.1): "e7bd91fbe94807cb5ae667077c0aa74faf55a9ab0e4910d5ceb9e5093563f6f5",
+    ("lenet-fc1", 0.5): "fcda4538cc8104ef9fb350cc399da73cc4cd451ae9e6ff67204aa4681dd2f137",
+    ("lenet-fc1", 1.0): "514e9abafa955b731baed1e1c061ebf7f7d06e7582ca96cc6164c4242a110433",
+    ("lenet-fc2", 0.0): "0946e2eb0fb9ea7ddd935efd1922bc7d1f27101c69ce6d2f5145c7ee28f1b6ba",
+    ("lenet-fc2", 0.1): "374b93fdc0e562b4f2cf4762c9e901bde69e2109b2eaa4553499fe4f36b65869",
+    ("lenet-fc2", 0.5): "0561c6caa1afd8b939a17a8452ba77e4a2aba4f2adf564f3df0fba824d75b94c",
+    ("lenet-fc2", 1.0): "5299a2259616ef771ab280d30e1004dc95f461d8a1312a0de43353d501ac717c",
+}
+
+
+class TestGeneratedBytes:
+    @pytest.mark.parametrize("name,density", sorted(_GOLDEN_DIGESTS))
+    def test_pinned_digest(self, name, density):
+        digest = hashlib.sha256()
+        for seed in (0, 11, 4001):
+            digest.update(random_sparse_filters(
+                _GOLDEN_LAYERS[name], density, seed).tobytes())
+        assert digest.hexdigest() == _GOLDEN_DIGESTS[name, density]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(["conv", "fc"]),
+           st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+           st.integers(1, 6),
+           st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           st.integers(0, 2**64 - 1))
+    def test_any_chunk_equals_whole_bank_draws(self, data, kind, channels,
+                                               side, kernel, filters,
+                                               density, seed):
+        layer = LayerSpec("g", kind, channels, side, side + 1,
+                          min(kernel, side), 1, 0, filters)
+        expected = _whole_bank_reference(layer, density, seed)
+        chunk = data.draw(st.integers(1, expected.size + 1), label="chunk")
+        with mock.patch.object(dense, "_GEN_CHUNK", chunk):
+            bank = random_sparse_filters(layer, density, seed)
+        assert bank.shape == expected.shape
+        assert bank.tobytes() == expected.tobytes()
+        assert not np.signbit(bank[bank == 0]).any()

@@ -8,10 +8,13 @@ hold them.
 - batched engine == oracle: conv or fc, 1 to 4 channels, planes of 1 to
   12 rows and columns, kernel 1 to 5 (at most the padded plane), stride
   1 to 3, pad 0 to 2, 0 to 12 filters, batches of 1 to 12 filters;
-- `run_conv` with its channel-block budget patched to 1 to 300 floats ==
-  oracle, so blocks split mid-layer and some hold no entries: 1 to 6
-  channels, planes of 1 to 10, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
-  1 to 9 filters;
+- `run_conv` with its channel-block budget and its pixel-tile register
+  bound each patched to 1 to 300 floats == oracle, with the unpatched
+  run's counters, so blocks split mid-layer, some hold no entries, and
+  pixel tiles end mid-row or run short: 1 to 6 channels, planes of 1 to
+  10, kernel 1 to 3, stride 1 to 2, pad 0 to 1, 1 to 9 filters; pinned
+  examples add a tile ending mid-row, a short last tile, and stride 2
+  with pad 1;
 - `EngineContext.run` == `run_conv`, output bytes and counters: 1 to 3
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
   1 to 6 filters;
@@ -26,6 +29,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -100,14 +104,47 @@ def test_batched_engine_equals_oracle_bytewise(case):
     assert actual.tobytes() == expected.tobytes()
 
 
+def _run_conv_patched(layer, bank, features, block, registers):
+    """run_conv's output and counters under patched budgets, checked
+    against the oracle and the unpatched run's counters."""
+    stream = _whole_stack(bank)
+    _, expected_counters = run_conv(stream, features, layer)
+    with mock.patch.multiple(engine, _BLOCK_FLOATS=block,
+                             _REGISTER_FLOATS=registers):
+        actual, counters = run_conv(stream, features, layer)
+    assert actual.tobytes() == dense_conv(features, bank, layer).tobytes()
+    assert vars(counters) == vars(expected_counters)
+
+
 @settings(max_examples=150, deadline=None)
 @given(conv_cases(channels=6, side=10, kernel=3, stride=2, pad=1, filters=9),
-       st.integers(1, 300))
-def test_split_channel_blocks_equal_oracle_bytewise(case, budget):
-    layer, bank, features = case
-    with mock.patch.object(engine, "_BLOCK_FLOATS", budget):
-        actual, _ = run_conv(_whole_stack(bank), features, layer)
-    assert actual.tobytes() == dense_conv(features, bank, layer).tobytes()
+       st.integers(1, 300), st.integers(1, 300))
+def test_split_channel_blocks_equal_oracle_bytewise(case, block, registers):
+    # both budgets patched: blocks split mid-layer and pixel tiles cut
+    # channels
+    _run_conv_patched(*case, block, registers)
+
+
+# tiles are ceil(windows / ceil(filters * windows / registers)) pixels
+@pytest.mark.parametrize("layer,registers", [
+    # 2 filters x 5x7 windows = 70 registers over 35: tiles of 18 and 17
+    # pixels, the second starting mid-row, at row 2, column 4
+    (LayerSpec("mid-row", "conv", 2, 5, 7, 3, 1, 1, 2), 35),
+    # 3 filters x 5x5 windows = 75 registers over 20: tiles of 7, 7, 7
+    # and a short last one of 4
+    (LayerSpec("short-last", "conv", 2, 5, 5, 3, 1, 1, 3), 20),
+    # stride 2, pad 1: 9x9 plane, 5x5 windows; 4 filters x 25 windows =
+    # 100 registers over 30: tiles of 7, 7, 7 and 4
+    (LayerSpec("stride-2-pad-1", "conv", 3, 9, 9, 3, 2, 1, 4), 30),
+], ids=lambda v: getattr(v, "name", str(v)))
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_pixel_tiles_equal_oracle_bytewise(layer, registers, block):
+    # block 1 puts one channel in each block, as on a large plane
+    bank = random_sparse_filters(layer, 0.7, 5)
+    features = np.random.default_rng(6).uniform(
+        -2.0, 2.0, (layer.channels, layer.height, layer.width)
+    ).astype(np.float32)
+    _run_conv_patched(layer, bank, features, block, registers)
 
 
 @settings(max_examples=60, deadline=None)

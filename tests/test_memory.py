@@ -1,0 +1,48 @@
+"""Working-memory bounds of generation and the engine, via tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts
+every bank, output and scratch array a call allocates, and the same call
+peaks the same way every run.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from csfsim import (LayerSpec, encode_csf, engine, random_sparse_filters,
+                    run_conv, stack_filters)
+
+MB = 1 << 20
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_peaks_near_the_bank():
+    # VGG16 CONV5-1: 2.36M weights, a 9 MiB bank; three whole-bank
+    # float64 draws would peak near 65 MiB, three chunks take 1.5 MiB
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    # the first seeding imports modules, which tracemalloc would count
+    random_sparse_filters(LayerSpec("w", "fc", 1, 1, 1, 1, 1, 0, 1), 0.5, 0)
+    bank, peak = _traced_peak(random_sparse_filters, layer, 0.1, 1)
+    assert peak <= bank.nbytes + 2 * MB
+
+
+def test_run_conv_tiles_a_large_channel():
+    # VGG16 CONV1-1 as one 64-filter stack: a 12.25 MiB output, and one
+    # channel's registers would take as much again. Scratch stays within
+    # one tile's registers plus as much again for the window rows, the
+    # padded input and one tap's products
+    layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
+    stream = encode_csf(
+        stack_filters(random_sparse_filters(layer, 0.1, 2), 0, 64), "conv")
+    features = np.random.default_rng(1).random((3, 224, 224), np.float32)
+    (out, _), peak = _traced_peak(run_conv, stream, features, layer)
+    assert peak <= out.nbytes + 2 * 4 * engine._REGISTER_FLOATS

@@ -176,6 +176,7 @@ class TestRender:
 class TestBundledConfigs:
     @pytest.mark.parametrize("name,layer_count", [
         ("alexnet.cfg", 5), ("vgg16.cfg", 13), ("lenet.cfg", 4),
+        ("alexnet-fc.cfg", 3),
     ])
     def test_bundled_config_parses(self, name, layer_count):
         text = resources.files("csfsim").joinpath("configs", name).read_text()
@@ -191,6 +192,14 @@ class TestBundledConfigs:
         config = parse_network_config(text)
         assert [mac_count(l) for l in config] == [
             105_415_200, 447_897_600, 149_520_384, 224_280_576, 149_520_384]
+
+    def test_alexnet_fc_macs(self):
+        text = resources.files("csfsim").joinpath(
+            "configs", "alexnet-fc.cfg").read_text()
+        config = parse_network_config(text)
+        assert [layer.kind for layer in config] == ["fc"] * 3
+        assert [mac_count(l) for l in config] == [
+            37_748_736, 16_777_216, 4_096_000]
 
     def test_lenet_macs(self):
         text = resources.files("csfsim").joinpath(
