@@ -22,9 +22,7 @@ from .netconfig import (ConfigError, NetworkConfig, load_network_config,
                         parse_network_config, render_network_config)
 from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
 from .tiling import (DivisionPlan, GroupingPlan, PlanError,
-                     division_input_dims, division_layer, extract_division,
-                     plan_feature_division, plan_filter_grouping,
-                     stitch_outputs)
+                     plan_feature_division, plan_filter_grouping)
 
 __version__ = "0.1.0"
 
@@ -47,11 +45,8 @@ __all__ = [
     "dense_fc",
     "dense_trace",
     "deserialize_csf",
-    "division_input_dims",
-    "division_layer",
     "efficiency_per_pe",
     "encode_csf",
-    "extract_division",
     "load_network_config",
     "mac_count",
     "output_shape",
@@ -69,5 +64,4 @@ __all__ = [
     "serialize_csf",
     "stack_filters",
     "stack_trace",
-    "stitch_outputs",
 ]

@@ -278,7 +278,8 @@ def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
     the smaller one; e is clamped to [exp_min, exp_max]. Zeros stay zero,
     so sparsity is preserved exactly. The range must lie within
     [-149, 127], the exponents of float32's smallest subnormal and largest
-    power of two, so every result is a finite nonzero float32.
+    power of two, so every result is a finite nonzero float32. NaN and
+    infinite weights are rejected rather than clamped.
     """
     if exp_min > exp_max:
         raise ValueError(f"exponent range [{exp_min}, {exp_max}] is empty")
@@ -286,6 +287,8 @@ def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
         raise ValueError(f"exponent range [{exp_min}, {exp_max}] leaves "
                          f"float32's [-149, 127]")
     arr = np.asarray(bank, dtype=np.float32)
+    if not np.isfinite(arr).all():
+        raise ValueError("bank contains non-finite weights")
     out = np.zeros_like(arr)
     nz = arr != 0
     mags = np.abs(arr[nz]).astype(np.float64)

@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dense import as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
 
@@ -28,39 +25,18 @@ class PlanError(ValueError):
 class DivisionPlan:
     """A tiling of the output plane plus its weight-reload accounting.
 
-    tile_out_* are the nominal output tile extents; tiles in the last grid
-    row or column shrink when the output plane does not divide evenly.
-    tile_in_* are the matching input window extents, halo included.
+    tile_out_* are the nominal output tile extents the planner chose;
+    tiles in the last grid row or column are smaller when the output plane
+    does not divide evenly. Every tile reloads the whole dense filter bank.
     """
 
     grid_h: int
     grid_w: int
     tile_out_h: int
     tile_out_w: int
-    tile_in_h: int
-    tile_in_w: int
-    out_h: int
-    out_w: int
-    stride: int
-    kernel: int
     load_times: int
     dense_weight_count: int
     total_weights_loaded: int
-
-    def tile_out_dims(self, tile_y: int, tile_x: int) -> tuple[int, int]:
-        """(height, width) of output tile (tile_y, tile_x), edge-clipped."""
-        if not (0 <= tile_y < self.grid_h and 0 <= tile_x < self.grid_w):
-            raise IndexError(f"tile ({tile_y}, {tile_x}) outside "
-                             f"{self.grid_h}x{self.grid_w} grid")
-        h = min(self.tile_out_h, self.out_h - tile_y * self.tile_out_h)
-        w = min(self.tile_out_w, self.out_w - tile_x * self.tile_out_w)
-        return h, w
-
-    def tile_in_dims(self, tile_y: int, tile_x: int) -> tuple[int, int]:
-        """(height, width) of the input window feeding that output tile."""
-        h, w = self.tile_out_dims(tile_y, tile_x)
-        in_w, in_h = division_input_dims(w, h, self.stride, self.kernel)
-        return in_h, in_w
 
 
 @dataclass(frozen=True)
@@ -72,11 +48,6 @@ class GroupingPlan:
     feature_count: int
     total_features_loaded: int
     note: str | None = None
-
-
-def division_input_dims(w_do: int, h_do: int, stride: int, kernel: int):
-    """Input window extents needed for an output tile of w_do x h_do."""
-    return (w_do - 1) * stride + kernel, (h_do - 1) * stride + kernel
 
 
 def plan_feature_division(layer: LayerSpec, budget: int,
@@ -113,7 +84,6 @@ def plan_feature_division(layer: LayerSpec, budget: int,
         )
     grid_h = -(-out_h // eff_h)
     grid_w = -(-out_w // eff_w)
-    in_w, in_h = division_input_dims(eff_w, eff_h, layer.stride, layer.kernel)
     load_times = grid_h * grid_w
     dense_weights = layer.filters * layer.channels * layer.kernel ** 2
     return DivisionPlan(
@@ -121,12 +91,6 @@ def plan_feature_division(layer: LayerSpec, budget: int,
         grid_w=grid_w,
         tile_out_h=eff_h,
         tile_out_w=eff_w,
-        tile_in_h=in_h,
-        tile_in_w=in_w,
-        out_h=out_h,
-        out_w=out_w,
-        stride=layer.stride,
-        kernel=layer.kernel,
         load_times=load_times,
         dense_weight_count=dense_weights,
         total_weights_loaded=load_times * dense_weights,
@@ -169,64 +133,3 @@ def plan_filter_grouping(layer: LayerSpec, budget: int) -> GroupingPlan:
         total_features_loaded=batches * feature_count,
         note=note,
     )
-
-
-def division_layer(layer: LayerSpec, plan: DivisionPlan,
-                   tile_y: int, tile_x: int) -> LayerSpec:
-    """Layer describing one extracted tile: padding already materialized."""
-    in_h, in_w = plan.tile_in_dims(tile_y, tile_x)
-    return LayerSpec(
-        name=f"{layer.name}[{tile_y},{tile_x}]",
-        kind="conv",
-        channels=layer.channels,
-        height=in_h,
-        width=in_w,
-        kernel=layer.kernel,
-        stride=layer.stride,
-        pad=0,
-        filters=layer.filters,
-    )
-
-
-def extract_division(features, plan: DivisionPlan, tile_y: int, tile_x: int,
-                     layer: LayerSpec) -> np.ndarray:
-    """Cut the input window for one tile out of the padded input planes.
-
-    The window's origin in the padded plane is the first input sample its
-    first output element reads, so adjacent windows share halo rows and
-    columns; the copy is contiguous and safe to mutate.
-    """
-    x = as_f32(features, (layer.channels, layer.height, layer.width))
-    padded = pad_channels(x, layer.pad)
-    in_h, in_w = plan.tile_in_dims(tile_y, tile_x)
-    y0 = tile_y * plan.tile_out_h * plan.stride
-    x0 = tile_x * plan.tile_out_w * plan.stride
-    return np.ascontiguousarray(padded[:, y0:y0 + in_h, x0:x0 + in_w])
-
-
-def stitch_outputs(tiles, plan: DivisionPlan) -> np.ndarray:
-    """Reassemble per-tile outputs into the full output tensor.
-
-    `tiles` is a grid_h x grid_w nested sequence of (filters, h, w) arrays.
-    Output tiles are disjoint, so placement is pure concatenation.
-    """
-    if len(tiles) != plan.grid_h:
-        raise ValueError(f"expected {plan.grid_h} tile rows, got {len(tiles)}")
-    rows = []
-    for ty, row in enumerate(tiles):
-        if len(row) != plan.grid_w:
-            raise ValueError(
-                f"tile row {ty} has {len(row)} tiles, expected {plan.grid_w}"
-            )
-        cells = []
-        for tx, cell in enumerate(row):
-            arr = np.asarray(cell, dtype=np.float32)
-            want = plan.tile_out_dims(ty, tx)
-            if arr.ndim != 3 or arr.shape[1:] != want:
-                raise ValueError(
-                    f"tile ({ty}, {tx}) has shape {arr.shape}, "
-                    f"expected (*, {want[0]}, {want[1]})"
-                )
-            cells.append(arr)
-        rows.append(np.concatenate(cells, axis=2))
-    return np.concatenate(rows, axis=1)

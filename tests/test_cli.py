@@ -231,6 +231,18 @@ class TestEncodeDecode:
         assert code == 2 and "non-finite" in err
         assert not out_path.exists()
 
+    def test_quantize_rejects_infinite_bank(self, capsys, tmp_path,
+                                            bank_file):
+        path, bank = bank_file
+        bank[4, 1, 2, 0] = np.inf
+        write_weight_bank(path, bank)
+        out_path = tmp_path / "q.csf"
+        code, _, err = run(capsys, "encode", str(path), "-o", str(out_path),
+                           "--quantize-shift", "-8", "8")
+        assert code == 2
+        assert err.startswith("error: ") and "non-finite" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("exps", [("200", "300"), ("-300", "-200")])
     def test_quantize_exponents_outside_float32(self, capsys, tmp_path,
                                                 bank_file, exps):

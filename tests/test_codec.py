@@ -303,6 +303,12 @@ class TestQuantizeShift:
         with pytest.raises(ValueError, match="float32"):
             quantize_shift(np.float32([1.0]), exp_min, exp_max)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # clamping inf to 2**exp_max would encode a weight the bank never held
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_shift(np.float32([1.0, bad, 0.0]), -8, 8)
+
     def test_float32_exponent_limits_keep_sparsity(self):
         bank = np.float32([1e-45, -1e-40, 0.0, 3e38, -1.0])
         out = quantize_shift(bank, -149, 127)

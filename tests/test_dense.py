@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csfsim import (LayerSpec, as_f32, dense, dense_conv, dense_fc,
-                    output_shape, random_sparse_filters)
+                    output_shape, random_sparse_filters, tiling)
 
 
 def _brute_conv(x, w, layer):
@@ -282,9 +282,11 @@ class TestDenseConv:
             dense_conv(np.zeros((3, 6, 6)), np.zeros((4, 2, 3, 3)), layer)
 
 
-def test_oracle_imports_only_layers():
-    # the oracle must stay independent of the codec and the engine it checks
-    tree = ast.parse(Path(dense.__file__).read_text())
+@pytest.mark.parametrize("module", [dense, tiling], ids=["dense", "tiling"])
+def test_oracle_imports_only_layers(module):
+    # the oracle must stay independent of the codec and the engine it
+    # checks, and the planners are shape arithmetic on layer specs alone
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

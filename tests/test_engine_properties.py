@@ -18,9 +18,6 @@ hold them.
 - `EngineContext.run` == `run_conv`, output bytes and counters: 1 to 3
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
   1 to 6 filters;
-- feature division tiled == untiled, output bytes and summed counters:
-  1 to 3 channels, planes of 1 to 12, kernel 1 to 3, stride 1 to 3, pad 0
-  to 2, 1 to 8 filters, square tiles of 1 to 6 outputs, batches of 1 to 8;
 - `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
   `run_layer_batched`'s counters, within the first property's bounds.
 """
@@ -35,10 +32,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csfsim import (EngineContext, LayerSpec, TraceCounters, dense_conv,
-                    dense_fc, division_layer, encode_csf, extract_division,
-                    output_shape, plan_feature_division,
-                    random_sparse_filters, run_conv, run_layer_batched,
-                    stack_filters, stack_trace, stitch_outputs)
+                    dense_fc, encode_csf, output_shape, random_sparse_filters,
+                    run_conv, run_layer_batched, stack_filters, stack_trace)
 from csfsim import engine
 
 _FEATURES = st.floats(-2.0, 2.0, width=32)
@@ -159,26 +154,6 @@ def test_instruction_walk_equals_run_conv(case):
     actual, counters = run_conv(stream, features, layer)
     assert stepped.tobytes() == actual.tobytes()
     assert vars(ctx.counters) == vars(counters)
-
-
-@settings(max_examples=80, deadline=None)
-@given(conv_cases(channels=3, side=12, kernel=3, stride=3, pad=2, filters=8),
-       st.integers(1, 6), st.integers(1, 8))
-def test_feature_division_equals_whole_layer(case, tile, batch):
-    layer, bank, features = case
-    plan = plan_feature_division(layer, tile * tile * layer.filters, tile=tile)
-    whole, whole_counters = run_layer_batched(bank, features, layer, batch)
-    tiles = [[None] * plan.grid_w for _ in range(plan.grid_h)]
-    tiled_counters = TraceCounters()
-    for ty in range(plan.grid_h):
-        for tx in range(plan.grid_w):
-            window = extract_division(features, plan, ty, tx, layer)
-            out, counters = run_layer_batched(
-                bank, window, division_layer(layer, plan, ty, tx), batch)
-            tiles[ty][tx] = out
-            tiled_counters += counters
-    assert stitch_outputs(tiles, plan).tobytes() == whole.tobytes()
-    assert vars(tiled_counters) == vars(whole_counters)
 
 
 @settings(max_examples=150, deadline=None)

@@ -176,7 +176,7 @@ class TestRender:
 class TestBundledConfigs:
     @pytest.mark.parametrize("name,layer_count", [
         ("alexnet.cfg", 5), ("vgg16.cfg", 13), ("lenet.cfg", 4),
-        ("alexnet-fc.cfg", 3),
+        ("alexnet-fc.cfg", 3), ("vgg16-fc.cfg", 3),
     ])
     def test_bundled_config_parses(self, name, layer_count):
         text = resources.files("csfsim").joinpath("configs", name).read_text()
@@ -200,6 +200,14 @@ class TestBundledConfigs:
         assert [layer.kind for layer in config] == ["fc"] * 3
         assert [mac_count(l) for l in config] == [
             37_748_736, 16_777_216, 4_096_000]
+
+    def test_vgg16_fc_macs(self):
+        text = resources.files("csfsim").joinpath(
+            "configs", "vgg16-fc.cfg").read_text()
+        config = parse_network_config(text)
+        assert [layer.kind for layer in config] == ["fc"] * 3
+        assert [mac_count(l) for l in config] == [
+            102_760_448, 16_777_216, 4_096_000]
 
     def test_lenet_macs(self):
         text = resources.files("csfsim").joinpath(
