@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import struct
 import sys
 from importlib import resources
@@ -80,9 +81,8 @@ def _load_config(arg: str) -> NetworkConfig:
     raise FileNotFoundError(f"config {arg!r} not found")
 
 
-def _print_table(headers, rows, file=None):
+def _print_table(headers, rows):
     """Aligned text table: first column left, the rest right-justified."""
-    out = file or sys.stdout
     cells = [[str(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
@@ -92,13 +92,13 @@ def _print_table(headers, rows, file=None):
         first = row[0].ljust(widths[0])
         rest = [c.rjust(w) for c, w in zip(row[1:], widths[1:])]
         return "  ".join([first] + rest).rstrip()
-    print(fmt(headers), file=out)
+    print(fmt(headers))
     for row in cells:
-        print(fmt(row), file=out)
+        print(fmt(row))
 
 
-def _write_csv(headers, rows, file=None):
-    writer = csv.writer(file or sys.stdout, lineterminator="\n")
+def _write_csv(headers, rows):
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(rows)
 
@@ -131,13 +131,9 @@ def _cmd_decode(args) -> int:
     ):
         print(f"{key:<10}{value}")
     if args.output:
-        stacked = decode_csf(stream)
-        if stream.profile == "conv":
-            bank = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-        else:
-            bank = np.ascontiguousarray(
-                stacked.T.reshape(stream.filters, stream.channels, 1, 1)
-            )
+        # an fc stream's kernel is 1, so both profiles unstack alike
+        bank = np.moveaxis(decode_csf(stream), -1, 0).reshape(
+            stream.filters, stream.channels, stream.kernel, stream.kernel)
         write_weight_bank(args.output, bank)
         print(f"wrote {args.output}")
     return 0
@@ -316,13 +312,8 @@ def _cmd_macs(args) -> int:
 
 def _cmd_report(args) -> int:
     config = _load_config(args.config)
-    params = PerfParams(
-        pe_count=args.pe_count,
-        clock_mhz=args.clock_mhz,
-        add_latency_cycles=args.add_latency_cycles,
-        weights_per_clock=args.weights_per_clock,
-        efficiency_divisor=args.efficiency_divisor,
-    )
+    params = PerfParams(**{field.name: getattr(args, field.name)
+                           for field in dataclasses.fields(PerfParams)})
     perf_rows = []
     for layer in config:
         trace = dense_trace(layer)
@@ -423,11 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "predicted timing, and both plans")
     p.add_argument("config", help="network config path or bundled name")
     add_plan_args(p)
-    p.add_argument("--pe-count", type=int, default=8)
-    p.add_argument("--clock-mhz", type=float, default=299.97)
-    p.add_argument("--add-latency-cycles", type=int, default=11)
-    p.add_argument("--weights-per-clock", type=int, default=None)
-    p.add_argument("--efficiency-divisor", type=int, default=4)
+    # PerfParams' field defaults, not an instance's: an instance has
+    # already resolved weights_per_clock to its own pe_count
+    for field in dataclasses.fields(PerfParams):
+        p.add_argument("--" + field.name.replace("_", "-"),
+                       type=float if field.type == "float" else int,
+                       default=field.default)
     p.set_defaults(handler=_cmd_report, div_budget=100352, grp_budget=200704)
     return parser
 

@@ -98,11 +98,12 @@ class CsfStream:
         if not all(0 <= v <= 0xFFFFFFFF
                    for v in (self.filters, self.channels, self.kernel)):
             raise CsfRangeError("filters, channels or kernel outside u32")
+        if self.profile == "fc" and self.kernel != 1:
+            raise CsfFormatError(f"fc stream kernel {self.kernel} is not 1")
         counts = _u16_array(self.counts, "counts")
         rel = _u16_array(self.rel, "rel")
         weights = np.array(self.weights, dtype=np.float32)
-        expected = self.channels * (
-            self.kernel ** 2 if self.profile == "conv" else 1)
+        expected = self.channels * self.kernel ** 2
         if counts.size != expected:
             raise CsfFormatError(f"position count {counts.size} does not "
                                  f"match shape (expected {expected})")

@@ -78,6 +78,15 @@ def _window_plane(padded: np.ndarray, chans: int | slice, r: int, c: int,
                   c:c + (out_w - 1) * stride + 1:stride]
 
 
+def _bank(weights, layer: LayerSpec) -> np.ndarray:
+    """Float32 weights whose extents past the first match the layer's bank."""
+    w = as_f32(weights)
+    if w.ndim != 4 or w.shape[1:] != layer.bank_shape[1:]:
+        raise ValueError(f"{layer.name}: weights {w.shape} do not match "
+                         f"(*, {', '.join(map(str, layer.bank_shape[1:]))})")
+    return w
+
+
 def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     """Direct convolution over a filter bank of shape (filters, C, K, K).
 
@@ -88,12 +97,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     if layer.kind != "conv":
         raise ValueError(f"{layer.name}: dense_conv needs a conv layer")
     x = as_f32(features, (layer.channels, layer.height, layer.width))
-    w = as_f32(weights)
-    if w.ndim != 4 or w.shape[1:] != (layer.channels, layer.kernel, layer.kernel):
-        raise ValueError(
-            f"{layer.name}: weights {w.shape} do not match "
-            f"(*, {layer.channels}, {layer.kernel}, {layer.kernel})"
-        )
+    w = _bank(weights, layer)
     out_w, out_h = output_shape(layer)
     k, filters, pixels = layer.kernel, w.shape[0], out_h * out_w
     padded = pad_channels(x, layer.pad)
@@ -137,12 +141,7 @@ def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
     if layer.kind != "fc":
         raise ValueError(f"{layer.name}: dense_fc needs an fc layer")
     x = as_f32(features, (layer.channels, layer.height, layer.width)).ravel()
-    w = as_f32(weights)
-    if w.ndim != 4 or w.shape[1:] != (layer.channels, layer.height, layer.width):
-        raise ValueError(
-            f"{layer.name}: weights {w.shape} do not match "
-            f"(*, {layer.channels}, {layer.height}, {layer.width})"
-        )
+    w = _bank(weights, layer)
     flat = w.reshape(w.shape[0], x.size)
     out = np.zeros(w.shape[0], np.float32)
     for p in range(x.size):
@@ -170,11 +169,7 @@ def random_sparse_filters(layer: LayerSpec, density: float, seed: int) -> np.nda
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
-    if layer.kind == "conv":
-        shape = (layer.filters, layer.channels, layer.kernel, layer.kernel)
-    else:
-        shape = (layer.filters, layer.channels, layer.height, layer.width)
-    bank = np.empty(shape, np.float32)
+    bank = np.empty(layer.bank_shape, np.float32)
     flat = bank.reshape(-1)
     n = flat.size
     keep_rng, magnitude_rng, sign_rng = (

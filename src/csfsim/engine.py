@@ -40,7 +40,7 @@ the one formula for them; `EngineContext` tallies them load by load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,18 +76,10 @@ class TraceCounters:
     simd_instructions: int = 0
 
     def __iadd__(self, other: "TraceCounters") -> "TraceCounters":
-        self.macs_executed += other.macs_executed
-        self.weight_loads += other.weight_loads
-        self.index_loads += other.index_loads
-        self.feature_loads += other.feature_loads
-        self.pointer_loads += other.pointer_loads
-        self.simd_instructions += other.simd_instructions
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
         return self
-
-    def __add__(self, other: "TraceCounters") -> "TraceCounters":
-        merged = TraceCounters(**vars(self))
-        merged += other
-        return merged
 
 
 def stack_trace(nnz: int, positions: int, channels: int,

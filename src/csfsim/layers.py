@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -11,7 +12,8 @@ class LayerSpec:
 
     FC layers are modeled as unpadded stride-1 layers whose filters span the
     whole input volume; kernel, stride and pad are forced to 1, 1, 0 when
-    kind is "fc".
+    kind is "fc". A conv kernel must fit its padded input, so every layer
+    has an output plane.
     """
 
     name: str
@@ -36,21 +38,26 @@ class LayerSpec:
                 raise ValueError(f"{self.name}: {field} must be >= 1")
         if self.pad < 0:
             raise ValueError(f"{self.name}: pad must be >= 0")
+        padded_h = self.height + 2 * self.pad
+        padded_w = self.width + 2 * self.pad
+        if self.kernel > min(padded_h, padded_w):
+            raise ValueError(f"{self.name}: kernel {self.kernel} exceeds "
+                             f"padded input {padded_h}x{padded_w}")
+
+    @property
+    def bank_shape(self) -> tuple[int, int, int, int]:
+        """Filter bank extents: (filters, C, k, k) conv, (filters, C, H, W) fc."""
+        if self.kind == "fc":
+            return self.filters, self.channels, self.height, self.width
+        return self.filters, self.channels, self.kernel, self.kernel
 
 
 def output_shape(layer: LayerSpec) -> tuple[int, int]:
     """Output plane extents (width, height), floor division on leftovers."""
     if layer.kind == "fc":
         return 1, 1
-    padded_w = layer.width + 2 * layer.pad
-    padded_h = layer.height + 2 * layer.pad
-    if layer.kernel > padded_w or layer.kernel > padded_h:
-        raise ValueError(
-            f"{layer.name}: kernel {layer.kernel} exceeds padded input "
-            f"{padded_h}x{padded_w}"
-        )
-    out_w = (padded_w - layer.kernel) // layer.stride + 1
-    out_h = (padded_h - layer.kernel) // layer.stride + 1
+    out_w = (layer.width + 2 * layer.pad - layer.kernel) // layer.stride + 1
+    out_h = (layer.height + 2 * layer.pad - layer.kernel) // layer.stride + 1
     return out_w, out_h
 
 
@@ -60,7 +67,4 @@ def mac_count(layer: LayerSpec) -> int:
     Python ints, so counts never overflow. Grouped-convolution variants are
     counted with their full channel fan-in.
     """
-    if layer.kind == "fc":
-        return layer.filters * layer.channels * layer.height * layer.width
-    out_w, out_h = output_shape(layer)
-    return layer.filters * layer.channels * layer.kernel ** 2 * out_w * out_h
+    return math.prod(layer.bank_shape) * math.prod(output_shape(layer))

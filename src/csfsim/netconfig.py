@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .layers import LayerSpec, output_shape
+from .layers import LayerSpec
 
 _COMMON_KEYS = ("name", "type", "in_channels", "in_height", "in_width",
                 "filters")
@@ -59,7 +59,7 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
                 raise ConfigError(f"key {key!r} is not allowed for fc layers",
                                   lines[key])
     try:
-        layer = LayerSpec(
+        return LayerSpec(
             name=fields["name"],
             kind=kind,
             channels=fields["in_channels"],
@@ -70,10 +70,8 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
             pad=fields.get("pad", 0),
             filters=fields["filters"],
         )
-        output_shape(layer)  # rejects a kernel wider than the padded input
     except ValueError as exc:
         raise ConfigError(str(exc), header_line) from exc
-    return layer
 
 
 def parse_network_config(text) -> NetworkConfig:
@@ -136,7 +134,7 @@ def render_network_config(config: NetworkConfig) -> str:
     """Canonical text form; parse(render(c)) == c, else ValueError.
 
     A name holding '#' or a line break, or with outer blanks, is refused,
-    as are a repeated name and a kernel wider than its padded input.
+    as is a repeated name.
     """
     chunks = []
     names = set()
@@ -149,7 +147,6 @@ def render_network_config(config: NetworkConfig) -> str:
         if layer.name in names:
             raise ValueError(f"duplicate layer name {layer.name!r}")
         names.add(layer.name)
-        output_shape(layer)  # the parser rejects an oversize kernel too
         lines = [
             "[layer]",
             f"name = {layer.name}",

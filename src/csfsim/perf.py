@@ -78,10 +78,8 @@ def dense_trace(layer: LayerSpec) -> TraceCounters:
     Pure shape arithmetic: equals the counters from actually running the
     layer at density 1 with every filter in one stack.
     """
-    if layer.kind == "conv":
-        channels = layer.channels
-        positions = channels * layer.kernel ** 2
-    else:  # one window; every input element is its own channel
-        channels = positions = layer.channels * layer.height * layer.width
+    positions = math.prod(layer.bank_shape[1:])
+    # one fc window; every input element is its own channel
+    channels = layer.channels if layer.kind == "conv" else positions
     return stack_trace(layer.filters * positions, positions, channels,
                        math.prod(output_shape(layer)))

@@ -85,7 +85,7 @@ def plan_feature_division(layer: LayerSpec, budget: int,
     grid_h = -(-out_h // eff_h)
     grid_w = -(-out_w // eff_w)
     load_times = grid_h * grid_w
-    dense_weights = layer.filters * layer.channels * layer.kernel ** 2
+    dense_weights = math.prod(layer.bank_shape)
     return DivisionPlan(
         grid_h=grid_h,
         grid_w=grid_w,

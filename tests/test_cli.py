@@ -455,6 +455,16 @@ class TestReport:
         assert len(rows) == 6
         assert rows[1][2] == "105415200"
 
+    # the design streams one weight per processing element per clock
+    # unless told otherwise, whatever the element count
+    def test_weights_per_clock_follows_pe_count(self, capsys):
+        code, out, _ = run(capsys, "report", "lenet", "--pe-count", "16")
+        assert code == 0
+        assert run(capsys, "report", "lenet", "--pe-count", "16",
+                   "--weights-per-clock", "16")[1] == out
+        assert run(capsys, "report", "lenet", "--pe-count", "16",
+                   "--weights-per-clock", "8")[1] != out
+
     # 1e306 MHz is finite but its kHz value overflows
     @pytest.mark.parametrize("clock", ["inf", "nan", "1e306"])
     def test_non_finite_clock_rejected(self, capsys, clock):

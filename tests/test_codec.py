@@ -135,6 +135,10 @@ class TestDecode:
         with pytest.raises(CsfFormatError, match="position count"):
             CsfStream("conv", 2, 1, 3, [0], [], [])
 
+    def test_fc_kernel_other_than_one_is_malformed(self):
+        with pytest.raises(CsfFormatError, match="^fc stream kernel 3 is not 1$"):
+            CsfStream("fc", 2, 4, 3, [1, 0, 0, 1], [0, 1], [1.0, 2.0])
+
     def test_indices_undo_delta_coding(self):
         stream = CsfStream("conv", 8, 1, 1, [3], [2, 1, 4], [1.0, 1.0, 1.0])
         assert stream.indices.tolist() == [2, 3, 7]

@@ -219,9 +219,8 @@ class TestTraceCounters:
         b = TraceCounters(macs_executed=10, weight_loads=10, index_loads=10,
                           feature_loads=20, pointer_loads=20,
                           simd_instructions=30)
-        total = a + b
-        assert total.macs_executed == 11
-        assert total.simd_instructions == 33
         a += b
-        assert vars(a) == vars(total)
+        assert vars(a) == dict(macs_executed=11, weight_loads=11,
+                               index_loads=11, feature_loads=22,
+                               pointer_loads=22, simd_instructions=33)
         assert b.macs_executed == 10

@@ -2,7 +2,7 @@
 
 import pytest
 
-from csfsim import LayerSpec, mac_count, output_shape
+from csfsim import LayerSpec, mac_count, output_shape, random_sparse_filters
 
 
 def conv(name="L", channels=3, height=8, width=8, kernel=3, stride=1, pad=0,
@@ -35,6 +35,20 @@ class TestLayerSpec:
     def test_negative_pad_rejected(self):
         with pytest.raises(ValueError, match="pad"):
             conv(pad=-1)
+
+    def test_kernel_larger_than_padded_input_refused_at_construction(self):
+        with pytest.raises(ValueError, match="^B: kernel 5 exceeds padded "
+                                             "input 2x2$"):
+            LayerSpec("B", "conv", 1, 2, 2, 5, 1, 0, 1)
+
+    @pytest.mark.parametrize("layer,shape", [
+        (conv(channels=3, height=8, width=6, kernel=5, pad=1, filters=4),
+         (4, 3, 5, 5)),
+        (LayerSpec("f", "fc", 2, 3, 5, 1, 1, 0, 7), (7, 2, 3, 5)),
+    ], ids=["conv", "fc"])
+    def test_bank_shape(self, layer, shape):
+        assert layer.bank_shape == shape
+        assert random_sparse_filters(layer, 0.5, 0).shape == shape
 
 
 class TestOutputShape:

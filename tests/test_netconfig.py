@@ -157,15 +157,6 @@ class TestRender:
         with pytest.raises(ValueError, match="^duplicate layer name 'A'$"):
             render_network_config(config)
 
-    def test_oversize_kernel_refused(self):
-        config = NetworkConfig((
-            LayerSpec("A", "fc", 1, 1, 1, 1, 1, 0, 1),
-            LayerSpec("B", "conv", 1, 2, 2, 5, 1, 0, 1),
-        ))
-        with pytest.raises(ValueError, match="^B: kernel 5 exceeds padded "
-                                             "input 2x2$"):
-            render_network_config(config)
-
     @pytest.mark.parametrize("name", ["", "a=b", "a b", "[layer]", "\u00e9"])
     def test_unusual_names_round_trip(self, name):
         config = NetworkConfig((LayerSpec(name, "conv", 3, 32, 32, 5, 2, 1,
