@@ -10,9 +10,8 @@ metrics (`perf`), and a network config grammar plus CLI (`netconfig`,
 `cli`).
 """
 
-from .codec import (CsfFormatError, CsfRangeError, CsfStream, decode_csf,
-                    deserialize_csf, encode_csf, quantize_shift, serialize_csf,
-                    stack_filters)
+from .codec import (CsfFormatError, CsfStream, decode_csf, deserialize_csf,
+                    encode_csf, quantize_shift, serialize_csf, stack_filters)
 from .dense import (as_f32, dense_conv, dense_fc, pad_channels,
                     random_sparse_filters)
 from .engine import (EngineContext, TraceCounters, run_conv, run_fc,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "CsfFormatError",
-    "CsfRangeError",
     "CsfStream",
     "DivisionPlan",
     "EngineContext",

@@ -1,7 +1,8 @@
 """Command line surface: encode, decode, verify, plan, macs, report.
 
 Exit codes: 0 on success, 1 when a verification run found a mismatch,
-2 on usage, config, or input-format errors.
+2 on usage, config, or input-format errors, or an input too large for
+memory.
 
 Weight bank files are raw dumps: a 16-byte header of four little-endian
 32-bit unsigned extents (filters, channels, kernel, kernel; the two kernel
@@ -21,12 +22,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codec import (CsfFormatError, decode_csf, deserialize_csf, encode_csf,
-                    quantize_shift, serialize_csf, stack_filters)
+from .codec import (decode_csf, deserialize_csf, encode_csf, quantize_shift,
+                    serialize_csf, stack_filters)
 from .dense import dense_conv, dense_fc, random_sparse_filters
 from .engine import run_layer_batched
 from .layers import LayerSpec, mac_count
-from .netconfig import ConfigError, NetworkConfig, parse_network_config
+from .netconfig import NetworkConfig, load_network_config, parse_network_config
 from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
 from .tiling import PlanError, plan_feature_division, plan_filter_grouping
 
@@ -72,7 +73,7 @@ def _load_config(arg: str) -> NetworkConfig:
     """Read a config path, falling back to the bundled example configs."""
     path = Path(arg)
     if path.exists():
-        return parse_network_config(path.read_text(encoding="utf-8"))
+        return load_network_config(path)
     name = arg if arg.endswith(".cfg") else arg + ".cfg"
     if "/" not in arg and "\\" not in arg:
         bundled = resources.files("csfsim").joinpath("configs", name)
@@ -175,8 +176,7 @@ def _verify_layer(layer: LayerSpec, layer_seed: int, args) -> bool:
     if args.corrupt_layer == layer.name:
         bank = bank.copy()
         bank[0, 0, 0, 0] += 1.0
-    batch = min(layer.filters, args.batch_size)
-    actual, trace = run_layer_batched(bank, features, layer, batch)
+    actual, trace = run_layer_batched(bank, features, layer, args.batch_size)
     exact = actual.shape == expected.shape and np.array_equal(actual, expected)
     deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
     verdict = "PASS" if exact else "FAIL"
@@ -429,14 +429,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, CsfFormatError, PlanError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

@@ -7,8 +7,9 @@ index per input element for fully connected) it stores a count followed by
 filters at that position. Filter indices ascend within a position and are
 delta coded: the first entry's relative index is its absolute filter index,
 each later entry's is the gap from the previous nonzero filter. Zero weights
-are never encoded. In memory a `CsfStream` holds the same stream as three
-flat arrays: the counts, then every entry's relative index and weight.
+are never encoded, and a stream that stores one is malformed. In memory a
+`CsfStream` holds the same stream as three flat arrays: the counts, then
+every entry's relative index and weight.
 
 Byte layout (little endian throughout):
 
@@ -42,11 +43,7 @@ _ENTRY = np.dtype([("rel", "<u2"), ("weight", "<f4")])
 
 
 class CsfFormatError(ValueError):
-    """Malformed stream bytes or inconsistent stream structure."""
-
-
-class CsfRangeError(ValueError):
-    """A count or index exceeds what the format's fields can carry."""
+    """Malformed stream bytes or structure, or a value a field cannot hold."""
 
 
 def _u16_array(values, what: str) -> np.ndarray:
@@ -55,7 +52,7 @@ def _u16_array(values, what: str) -> np.ndarray:
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise CsfFormatError(f"{what} must be a 1-D integer array")
     if arr.size and (arr.min() < 0 or arr.max() > 0xFFFF):
-        raise CsfRangeError(f"{what} value outside the u16 field")
+        raise CsfFormatError(f"{what} value outside the u16 field")
     return arr.astype(np.uint16)
 
 
@@ -97,7 +94,7 @@ class CsfStream:
             raise CsfFormatError(f"unknown profile {self.profile!r}")
         if not all(0 <= v <= 0xFFFFFFFF
                    for v in (self.filters, self.channels, self.kernel)):
-            raise CsfRangeError("filters, channels or kernel outside u32")
+            raise CsfFormatError("filters, channels or kernel outside u32")
         if self.profile == "fc" and self.kernel != 1:
             raise CsfFormatError(f"fc stream kernel {self.kernel} is not 1")
         counts = _u16_array(self.counts, "counts")
@@ -129,6 +126,9 @@ class CsfStream:
         bad = np.flatnonzero(~np.isfinite(weights))
         if bad.size:
             raise CsfFormatError(f"non-finite weight at position {rows[bad[0]]}")
+        bad = np.flatnonzero(weights == 0)
+        if bad.size:
+            raise CsfFormatError(f"zero weight at position {rows[bad[0]]}")
         for name, arr in (("counts", counts), ("rel", rel),
                           ("weights", weights), ("offsets", offsets),
                           ("indices", indices)):
@@ -170,10 +170,9 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
 
     Conv stacks must be (channels, kernel, kernel, m); fc stacks may carry
     any spatial shape, which is flattened to one position per input element.
-    Non-finite weights raise CsfFormatError.
+    Non-finite weights raise CsfFormatError, as does a stack whose counts
+    or relative indices do not fit their u16 fields.
     """
-    if profile not in _PROFILES:
-        raise CsfFormatError(f"unknown profile {profile!r}")
     arr = np.asarray(stacked, dtype=np.float32)
     if arr.ndim < 2:
         raise CsfFormatError("stacked block needs spatial axes plus a filter axis")
@@ -188,8 +187,6 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
         channels, kernel = arr.shape[0], arr.shape[1]
     else:
         channels, kernel = positions, 1
-    if m > 0xFFFF:
-        raise CsfRangeError(f"{m} stacked filters exceeds the u16 index field")
     flat = arr.reshape(positions, m)
     # flat indices of the nonzeros in (position, filter) order, as
     # np.nonzero(flat) lists them. The bool mask dies with the call and

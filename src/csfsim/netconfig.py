@@ -39,9 +39,6 @@ class NetworkConfig:
     def __iter__(self):
         return iter(self.layers)
 
-    def __len__(self):
-        return len(self.layers)
-
 
 def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
     if "type" not in fields:
@@ -74,10 +71,8 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
         raise ConfigError(str(exc), header_line) from exc
 
 
-def parse_network_config(text) -> NetworkConfig:
-    """Parse config text (str or bytes) into a NetworkConfig."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def parse_network_config(text: str) -> NetworkConfig:
+    """Parse config text into a NetworkConfig."""
     layers = []
     names = {}
     fields: dict | None = None

@@ -51,7 +51,7 @@ class GroupingPlan:
 
 
 def plan_feature_division(layer: LayerSpec, budget: int,
-                          tile: int | None = 14) -> DivisionPlan:
+                          tile: int | None) -> DivisionPlan:
     """Tile a conv layer's output plane under an output-buffer budget.
 
     With `tile` set, the output plane is cut into tile x tile pieces

@@ -153,6 +153,15 @@ class TestWeightBankIo:
         with pytest.raises(ValueError, match="zero extent"):
             read_weight_bank(path)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 1, 2, 3)],
+                             ids=["3-D", "non-square"])
+    def test_write_refuses_non_bank_shape(self, tmp_path, shape):
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match=r"^bank shape \(.*\) is not "
+                                             r"\(filters, channels, k, k\)$"):
+            write_weight_bank(path, np.zeros(shape, np.float32))
+        assert not path.exists()
+
     @pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1),
                                        (1, 1, 0, 0), (0, 0, 0, 0)])
     def test_write_refuses_zero_extent(self, tmp_path, shape):
@@ -203,6 +212,32 @@ class TestEncodeDecode:
         path.write_bytes(b"not a stream")
         code, _, err = run(capsys, "decode", str(path))
         assert code == 2 and "error" in err
+
+    def test_decode_stored_zero_weight(self, capsys, tmp_path):
+        # 2 filters, 1 channel, kernel 1: one entry, filter 1, weight -0.0
+        path = tmp_path / "zero.csf"
+        path.write_bytes(b"CSF1" + struct.pack("<HBBIIIIHHf", 1, 1, 0, 2, 1,
+                                               1, 1, 1, 1, -0.0))
+        code, out, err = run(capsys, "decode", str(path))
+        assert (code, out, err) == (2, "", "error: zero weight at position 0\n")
+
+    def test_decode_out_of_memory_is_input_error(self, capsys, tmp_path,
+                                                 bank_file, monkeypatch):
+        path, _ = bank_file
+        stream_path = tmp_path / "bank.csf"
+        assert run(capsys, "encode", str(path), "-o", str(stream_path))[0] == 0
+
+        def no_memory(stream):
+            raise MemoryError("Unable to allocate 144. GiB")
+
+        # a real allocation of that size may succeed under overcommit
+        monkeypatch.setattr(csfsim.cli, "decode_csf", no_memory)
+        out_path = tmp_path / "back.bin"
+        code, _, err = run(capsys, "decode", str(stream_path),
+                           "-o", str(out_path))
+        assert code == 2
+        assert err == "error: Unable to allocate 144. GiB\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("profile,filters,channels,kernel", [
         ("conv", 0, 1, 1), ("conv", 2, 0, 3), ("conv", 2, 1, 0),

@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from csfsim import (CsfFormatError, CsfRangeError, CsfStream, LayerSpec,
-                    decode_csf, deserialize_csf, encode_csf, quantize_shift,
+from csfsim import (CsfFormatError, CsfStream, LayerSpec, decode_csf,
+                    deserialize_csf, encode_csf, quantize_shift,
                     random_sparse_filters, serialize_csf, stack_filters)
 
 
@@ -89,8 +89,31 @@ class TestEncode:
             encode_csf(np.zeros((1, 1, 1, 1), np.float32), "dense")
 
     def test_too_many_filters_for_index_field(self):
-        with pytest.raises(CsfRangeError, match="u16"):
+        with pytest.raises(CsfFormatError, match="u16"):
             encode_csf(np.ones((1, 1, 1, 0x10000), np.float32), "conv")
+
+    def test_wide_stack_encodes_when_fields_fit(self):
+        # the u16 fields bound counts and relative indices, not the stack
+        stacked = np.zeros((1, 1, 1, 70000), np.float32)
+        stacked[0, 0, 0, 3] = 1.5
+        stream = encode_csf(stacked, "conv")
+        blob = serialize_csf(stream)
+        assert len(blob) == 32
+        back = deserialize_csf(blob)
+        assert back == stream and back.filters == 70000
+        assert np.array_equal(decode_csf(back), stacked)
+
+    def test_wide_stack_relative_index_overflow(self):
+        stacked = np.zeros((1, 1, 1, 70000), np.float32)
+        stacked[0, 0, 0, 0x10000] = 1.5
+        with pytest.raises(CsfFormatError, match="^rel value outside the u16"):
+            encode_csf(stacked, "conv")
+
+    def test_one_dimensional_block_refused(self):
+        with pytest.raises(CsfFormatError,
+                           match="^stacked block needs spatial axes plus a "
+                                 "filter axis$"):
+            encode_csf(np.ones(4, np.float32), "fc")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -135,6 +158,32 @@ class TestDecode:
         with pytest.raises(CsfFormatError, match="position count"):
             CsfStream("conv", 2, 1, 3, [0], [], [])
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_stored_zero_weight_is_malformed(self, zero):
+        # 2 filters, 1 channel, kernel 1: one entry, filter 1, weight zero
+        blob = (b"CSF1" + struct.pack("<HBB", 1, 1, 0)
+                + struct.pack("<IIII", 2, 1, 1, 1) + struct.pack("<H", 1)
+                + struct.pack("<Hf", 1, zero))
+        assert len(blob) == 32
+        with pytest.raises(CsfFormatError,
+                           match="^zero weight at position 0$"):
+            deserialize_csf(blob)
+        with pytest.raises(CsfFormatError,
+                           match="^zero weight at position 1$"):
+            CsfStream("fc", 4, 2, 1, [1, 1], [0, 2], [1.0, zero])
+
+    @pytest.mark.parametrize("counts", [[1.0, 0.0], [[1, 0]]],
+                             ids=["float", "2-D"])
+    def test_counts_must_be_one_dimensional_integers(self, counts):
+        with pytest.raises(CsfFormatError,
+                           match="^counts must be a 1-D integer array$"):
+            CsfStream("fc", 4, 2, 1, counts, [0], [1.0])
+
+    def test_not_equal_to_other_types(self):
+        stream = CsfStream("fc", 4, 1, 1, [0], [], [])
+        assert (stream == 3) is False
+        assert stream.__eq__(3) is NotImplemented
+
     def test_fc_kernel_other_than_one_is_malformed(self):
         with pytest.raises(CsfFormatError, match="^fc stream kernel 3 is not 1$"):
             CsfStream("fc", 2, 4, 3, [1, 0, 0, 1], [0, 1], [1.0, 2.0])
@@ -156,11 +205,11 @@ class TestDecode:
             CsfStream("conv", 4, 1, 1, [1], [0, 1], [1.0, 1.0])
 
     def test_header_field_overflow(self):
-        with pytest.raises(CsfRangeError, match="u32"):
+        with pytest.raises(CsfFormatError, match="u32"):
             CsfStream("fc", 1 << 32, 1, 1, [0], [], [])
 
     def test_count_field_overflow(self):
-        with pytest.raises(CsfRangeError, match="u16"):
+        with pytest.raises(CsfFormatError, match="u16"):
             CsfStream("fc", 4, 1, 1, [0x10000], [], [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -261,7 +310,7 @@ class TestSerialization:
 
     def test_rel_index_field_overflow(self):
         # now refused when the stream is built, before serialize is reached
-        with pytest.raises((CsfRangeError, CsfFormatError)):
+        with pytest.raises(CsfFormatError):
             serialize_csf(CsfStream("conv", 0x10001, 1, 1, [1], [0x10000],
                                     [1.0]))
 

@@ -281,6 +281,12 @@ class TestDenseConv:
         with pytest.raises(ValueError, match="dims"):
             dense_conv(np.zeros((3, 6, 6)), np.zeros((4, 2, 3, 3)), layer)
 
+    def test_kind_guard(self):
+        layer = LayerSpec("f", "fc", 2, 4, 4, 1, 1, 0, 4)
+        with pytest.raises(ValueError,
+                           match="^f: dense_conv needs a conv layer$"):
+            dense_conv(np.zeros((2, 4, 4)), np.zeros((4, 2, 4, 4)), layer)
+
 
 @pytest.mark.parametrize("module", [dense, tiling], ids=["dense", "tiling"])
 def test_oracle_imports_only_layers(module):

@@ -153,6 +153,20 @@ class TestRunConv:
                             layer)
         assert trace.weight_loads == trace.index_loads == trace.macs_executed
 
+    @pytest.mark.parametrize("run, who", [
+        (lambda layer, stream, x: run_conv(stream, x, layer), "run_conv"),
+        (EngineContext, "instruction stepping")], ids=["run_conv", "context"])
+    @pytest.mark.parametrize("fc_layer", [True, False],
+                             ids=["fc-layer", "fc-stream"])
+    def test_profile_guard(self, run, who, fc_layer):
+        conv = LayerSpec("c", "conv", 2, 3, 3, 1, 1, 0, 4)
+        fc = LayerSpec("f", "fc", 2, 3, 3, 1, 1, 0, 4)
+        bank = random_sparse_filters(conv, 1.0, 0)
+        stream = _conv_stream(bank) if fc_layer else _fc_stream(bank)
+        with pytest.raises(ValueError, match=f"^{who} needs a conv layer "
+                                             "and a conv stream$"):
+            run(fc if fc_layer else conv, stream, np.zeros((2, 3, 3)))
+
     def test_stream_layer_mismatch(self):
         layer = LayerSpec("m", "conv", 2, 6, 6, 3, 1, 0, 4)
         other = LayerSpec("o", "conv", 3, 6, 6, 3, 1, 0, 4)

@@ -24,19 +24,19 @@ filters = 96
 class TestParse:
     def test_single_conv_section(self):
         config = parse_network_config(ALEXNET_CONV1)
-        assert len(config) == 1
+        assert len(config.layers) == 1
         layer = config.layers[0]
         assert layer.name == "CONV1"
         assert (layer.channels, layer.kernel, layer.stride) == (3, 11, 4)
         assert mac_count(layer) == 105_415_200
 
     def test_bytes_input(self):
-        config = parse_network_config(ALEXNET_CONV1.encode())
-        assert len(config) == 1
+        config = parse_network_config(ALEXNET_CONV1)
+        assert len(config.layers) == 1
 
     def test_empty_file(self):
-        assert len(parse_network_config("")) == 0
-        assert len(parse_network_config("# only a comment\n\n")) == 0
+        assert len(parse_network_config("").layers) == 0
+        assert len(parse_network_config("# only a comment\n\n").layers) == 0
 
     def test_comments_and_blank_lines(self):
         text = "# bank\n\n" + ALEXNET_CONV1.replace(
@@ -56,6 +56,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="filters") as err:
             parse_network_config(text)
         assert "line 1" in str(err.value)
+
+    def test_missing_type_names_header_line(self):
+        text = "# net\n\n" + ALEXNET_CONV1.replace("type = conv\n", "")
+        with pytest.raises(ConfigError, match="^line 3: section is missing "
+                                              "key 'type'$") as err:
+            parse_network_config(text)
+        assert err.value.line == 3
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key 'dilation'"):
@@ -172,7 +179,7 @@ class TestBundledConfigs:
     def test_bundled_config_parses(self, name, layer_count):
         text = resources.files("csfsim").joinpath("configs", name).read_text()
         config = parse_network_config(text)
-        assert len(config) == layer_count
+        assert len(config.layers) == layer_count
         names = [layer.name for layer in config]
         assert len(set(names)) == len(names)
         assert parse_network_config(render_network_config(config)) == config

@@ -63,6 +63,10 @@ class TestEfficiencyPerPe:
         with pytest.raises(ValueError, match="runtime"):
             efficiency_per_pe(1.0, 0.0, 4)
 
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ValueError, match="^divisor 0 must be >= 1$"):
+            efficiency_per_pe(1.0, 1.0, 0)
+
 
 class TestPredictRuntime:
     def test_empty_workload_is_drain_only(self):

@@ -41,6 +41,10 @@ class TestPlanFeatureDivision:
         with pytest.raises(PlanError, match="budget"):
             plan_feature_division(vgg_layer("x", 4, 64, 512), 100, tile=14)
 
+    def test_tile_below_one_refused(self):
+        with pytest.raises(PlanError, match="^x: tile size 0 must be >= 1$"):
+            plan_feature_division(vgg_layer("x", 4, 64, 512), 10 ** 6, tile=0)
+
     def test_budget_below_filter_count(self):
         with pytest.raises(PlanError, match="one output element"):
             plan_feature_division(vgg_layer("x", 4, 64, 512), 511, tile=1)
@@ -61,7 +65,7 @@ class TestPlanFeatureDivision:
     def test_fc_layer_rejected(self):
         with pytest.raises(PlanError, match="conv"):
             plan_feature_division(LayerSpec("f", "fc", 2, 3, 3, 1, 1, 0, 4),
-                                  10 ** 6)
+                                  10 ** 6, tile=14)
 
     def test_monotone_in_budget(self):
         layer = vgg_layer("m", 16, 56, 64)
