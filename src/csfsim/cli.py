@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import struct
 import sys
 from importlib import resources
@@ -46,11 +47,11 @@ def write_weight_bank(path, bank: np.ndarray) -> None:
         raise ValueError(f"{path}: zero extent in header")
     with open(path, "wb") as fh:
         fh.write(_BANK_HEADER.pack(*arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr.data)
 
 
 def read_weight_bank(path) -> np.ndarray:
-    """Load a weight bank dump; validates header against payload length."""
+    """Load a bank dump, header checked against payload, as a read-only view."""
     data = Path(path).read_bytes()
     if len(data) < _BANK_HEADER.size:
         raise ValueError(f"{path}: shorter than the 16-byte header")
@@ -66,7 +67,7 @@ def read_weight_bank(path) -> np.ndarray:
             f"{(len(data) - _BANK_HEADER.size) // 4}"
         )
     flat = np.frombuffer(data, dtype="<f4", offset=_BANK_HEADER.size)
-    return flat.reshape(filters, channels, k1, k2).copy()
+    return flat.reshape(filters, channels, k1, k2)
 
 
 def _load_config(arg: str) -> NetworkConfig:
@@ -351,6 +352,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+@functools.cache  # built on first use, not at import; parsing keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csfsim",
@@ -425,8 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, MemoryError) as exc:

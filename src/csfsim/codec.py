@@ -205,31 +205,37 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
 
 
 def decode_csf(stream: CsfStream) -> np.ndarray:
-    """Expand a stream back to a dense stacked block (...spatial, m)."""
+    """Expand a stream back to a dense stacked block (...spatial, m).
+
+    The block is a transposed view of a filter-major (m, positions) array,
+    so moving its filter axis back to the front costs no copy.
+    """
     if stream.profile == "conv":
         shape = (stream.channels, stream.kernel, stream.kernel, stream.filters)
     else:
         shape = (stream.channels, stream.filters)
-    out = np.zeros((stream.position_count, stream.filters), np.float32)
+    out = np.zeros((stream.filters, stream.position_count), np.float32)
     rows = np.repeat(np.arange(stream.position_count), stream.counts)
-    out[rows, stream.indices] = stream.weights
-    return out.reshape(shape)
+    out[stream.indices, rows] = stream.weights
+    return out.T.reshape(shape)
 
 
 def serialize_csf(stream: CsfStream) -> bytes:
     """Pack a stream into its byte representation."""
-    header = MAGIC + struct.pack(
-        "<HBBIIII", VERSION, _PROFILES[stream.profile],
+    is_count = _count_field_mask(stream.offsets)
+    # header and body share one buffer, so the bytes are copied out once
+    out = np.empty(HEADER_LEN + is_count.size, np.uint8)
+    struct.pack_into(
+        "<4sHBBIIII", out, 0, MAGIC, VERSION, _PROFILES[stream.profile],
         1 if stream.quantized else 0, stream.filters, stream.channels,
         stream.kernel, stream.position_count)
-    is_count = _count_field_mask(stream.offsets)
     entries = np.empty(stream.total_nnz, _ENTRY)
     entries["rel"] = stream.rel
     entries["weight"] = stream.weights
-    body = np.empty(is_count.size, np.uint8)
+    body = out[HEADER_LEN:]
     body[is_count] = stream.counts.astype("<u2").view(np.uint8)
     body[~is_count] = entries.view(np.uint8)
-    return header + body.tobytes()
+    return out.tobytes()
 
 
 def deserialize_csf(data: bytes) -> CsfStream:

@@ -14,8 +14,8 @@ import pytest
 import csfsim
 from csfsim import (CsfStream, LayerSpec, deserialize_csf, quantize_shift,
                     random_sparse_filters, serialize_csf)
-from csfsim.cli import (_first_mismatch, main, read_weight_bank,
-                        write_weight_bank)
+from csfsim.cli import (_build_parser, _first_mismatch, main,
+                        read_weight_bank, write_weight_bank)
 
 
 # Complete outputs, pinned byte for byte: the note column's right
@@ -130,6 +130,11 @@ class TestWeightBankIo:
         path, bank = bank_file
         assert np.array_equal(read_weight_bank(path), bank)
 
+    def test_loaded_bank_is_read_only(self, bank_file):
+        path, _ = bank_file
+        with pytest.raises(ValueError, match="read-only"):
+            read_weight_bank(path)[0, 0, 0, 0] = 1.0
+
     def test_header_contents(self, bank_file):
         path, _ = bank_file
         header = path.read_bytes()[:16]
@@ -184,6 +189,7 @@ class TestEncodeDecode:
         assert code == 0
         assert "profile   conv" in out
         assert np.array_equal(read_weight_bank(out_path), bank)
+        assert out_path.read_bytes() == path.read_bytes()
 
     def test_quantize_flag(self, capsys, tmp_path, bank_file):
         path, bank = bank_file
@@ -513,6 +519,25 @@ class TestReport:
         code, out, err = run(capsys, "report", "lenet", "--clock-mhz", clock)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "clock_mhz" in err
+
+
+class TestParserReuse:
+    """One parser serves every `main` call and carries nothing between them."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        assert run(capsys, "report", "lenet", "--pe-count", "4")[0] == 0
+        assert run(capsys, "report", "lenet") == (0, REPORT_LENET, "")
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lenet", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "verify", "lenet")
+        assert code == 0 and "4/4 layers passed" in out
 
 
 class TestGoldenOutput:

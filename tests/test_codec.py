@@ -144,6 +144,14 @@ class TestDecode:
         assert dense[0, 0, 0, 3] == 2.5
         assert np.count_nonzero(dense) == 1
 
+    # the block is a view of a filter-major array, so a bank in
+    # (filters, ...spatial) order needs no copy
+    @pytest.mark.parametrize("profile", ["conv", "fc"])
+    def test_filter_axis_first_is_contiguous(self, profile):
+        stream = encode_csf(stack_filters(_bank(m=8, c=3), 0, 8), profile)
+        bank = np.moveaxis(decode_csf(stream), -1, 0)
+        assert bank.flags.c_contiguous
+
     # malformed structure is caught when the stream is built, so no
     # stream that exists can fail to decode, serialize or run
     def test_index_overflow_is_malformed(self):

@@ -1,4 +1,4 @@
-"""Working-memory bounds of generation and the engine, via tracemalloc.
+"""Working-memory bounds of generation, the engine and decode, via tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every bank, output and scratch array a call allocates, and the same call
@@ -11,6 +11,7 @@ import numpy as np
 
 from csfsim import (LayerSpec, encode_csf, engine, random_sparse_filters,
                     run_conv, stack_filters)
+from csfsim.cli import main, write_weight_bank
 
 MB = 1 << 20
 
@@ -46,3 +47,18 @@ def test_run_conv_tiles_a_large_channel():
     features = np.random.default_rng(1).random((3, 224, 224), np.float32)
     (out, _), peak = _traced_peak(run_conv, stream, features, layer)
     assert peak <= out.nbytes + 2 * 4 * engine._REGISTER_FLOATS
+
+
+def test_decode_writes_the_bank_it_decoded(tmp_path):
+    # VGG16 CONV5-1 again: the decoded 9 MiB block goes to the file as
+    # it is, and the stream's bytes and arrays take about 5 MiB more. A
+    # transposed copy or a bytes copy of the block would add 9 MiB each
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    bank = random_sparse_filters(layer, 0.1, 1)
+    bank_path, csf_path = tmp_path / "bank", tmp_path / "bank.csf"
+    write_weight_bank(bank_path, bank)
+    assert main(["encode", str(bank_path), "-o", str(csf_path)]) == 0
+    code, peak = _traced_peak(
+        main, ["decode", str(csf_path), "-o", str(tmp_path / "back")])
+    assert code == 0
+    assert peak <= 2 * bank.nbytes
