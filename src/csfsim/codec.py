@@ -109,26 +109,25 @@ class CsfStream:
             raise CsfFormatError(
                 f"counts promise {offsets[-1]} entries but rel holds "
                 f"{rel.size} and weights {weights.shape}")
-        rows = np.repeat(np.arange(counts.size), counts)
-        later = np.flatnonzero(rows[1:] == rows[:-1]) + 1
-        bad = later[rel[later] == 0]
-        if bad.size:
-            raise CsfFormatError(
-                f"non-ascending filter index at position {rows[bad[0]]}")
-        # undo the delta coding: a running sum restarted at each position
-        running = np.concatenate(([0], np.cumsum(rel, dtype=np.int64)))
-        indices = running[1:] - running[offsets[rows]]
-        bad = np.flatnonzero(indices >= self.filters)
-        if bad.size:
-            raise CsfFormatError(f"filter index {indices[bad[0]]} outside "
-                                 f"stack of {self.filters} at position "
-                                 f"{rows[bad[0]]}")
-        bad = np.flatnonzero(~np.isfinite(weights))
-        if bad.size:
-            raise CsfFormatError(f"non-finite weight at position {rows[bad[0]]}")
-        bad = np.flatnonzero(weights == 0)
-        if bad.size:
-            raise CsfFormatError(f"zero weight at position {rows[bad[0]]}")
+        # undo the delta coding: a running sum less its value before each
+        # nonempty position's first entry
+        starts = offsets[:-1][counts > 0]
+        indices = np.cumsum(rel, dtype=np.int64)
+        indices -= np.repeat(indices[starts] - rel[starts], counts[counts > 0])
+        # a zero gap is legal only as a position's first entry
+        misplaced = rel == 0
+        misplaced[starts] = False
+        outside = f"filter index {{}} outside stack of {self.filters}"
+        for broken, what in ((misplaced, "non-ascending filter index"),
+                             (indices >= self.filters, outside),
+                             (~np.isfinite(weights), "non-finite weight"),
+                             (weights == 0, "zero weight")):
+            # one pass per rule; only a broken one seeks its first entry
+            if broken.any():
+                at = broken.argmax()
+                raise CsfFormatError(
+                    f"{what.format(indices[at])} at position "
+                    f"{offsets.searchsorted(at, 'right') - 1}")
         for name, arr in (("counts", counts), ("rel", rel),
                           ("weights", weights), ("offsets", offsets),
                           ("indices", indices)):
@@ -188,18 +187,18 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     else:
         channels, kernel = positions, 1
     flat = arr.reshape(positions, m)
-    # flat indices of the nonzeros in (position, filter) order, as
-    # np.nonzero(flat) lists them. The bool mask dies with the call and
-    # `nonzero` once split, so encoding holds no more memory than
-    # np.nonzero's two index arrays would
-    nonzero = np.flatnonzero(flat != 0)
-    weights = flat.reshape(-1)[nonzero]
-    pos, idx = np.divmod(nonzero, m)
-    del nonzero
+    mask = flat != 0
+    counts = np.count_nonzero(mask, axis=1)
+    # flat indices of the nonzeros in (position, filter) order, turned
+    # into filter indices in place
+    idx = np.flatnonzero(mask)
+    del mask
+    weights = flat.reshape(-1)[idx]
+    np.remainder(idx, m, out=idx)
     rel = np.diff(idx, prepend=0)
-    first = np.diff(pos, prepend=-1) != 0
-    rel[first] = idx[first]
-    counts = np.bincount(pos, minlength=flat.shape[0])
+    # each nonempty position's first entry carries its index itself
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    rel[starts] = idx[starts]
     return CsfStream(profile, m, channels, kernel, counts, rel, weights,
                      quantized)
 

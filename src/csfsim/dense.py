@@ -19,9 +19,9 @@ most once per tap, so each product is added once. Tiling changes which
 elements are computed together, never the sequence of float32 additions
 any one output element sees.
 
-`_PIXEL_BLOCK` is a floor on the row length, not a cache budget: numpy's
-broadcast multiply costs 3-5x more per element on rows shorter than
-about 3000 floats, which it runs through its ufunc buffer.
+`dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
+at the default 8192, multiplying rows of a few hundred to 3000 floats by
+a weight column copies the column through the buffer, at 2-4x the cost.
 
 Skipping zero weights is exact, by one rule: a partial sum starts at
 +0.0 and round-to-nearest addition gives -0.0 only when both operands
@@ -35,13 +35,14 @@ bytes are those of the whole-plane loop over every weight.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .layers import LayerSpec, output_shape
 
-# output pixels per dense_conv tile: long enough that product rows skip
-# numpy's ufunc buffer (see the module docstring); a tile's partial sums
-# are filters x _PIXEL_BLOCK floats
+# output pixels per dense_conv tile: a tile's partial sums are
+# filters x _PIXEL_BLOCK floats
 _PIXEL_BLOCK = 1 << 12
 
 # weights random_sparse_filters writes per chunk: its scratch is three
@@ -78,6 +79,16 @@ def _window_plane(padded: np.ndarray, chans: int | slice, r: int, c: int,
                   c:c + (out_w - 1) * stride + 1:stride]
 
 
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer at 128 elements (see the module docstring)."""
+    old = np.setbufsize(128)  # numpy 1.x errstate does not scope it
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _bank(weights, layer: LayerSpec) -> np.ndarray:
     """Float32 weights whose extents past the first match the layer's bank."""
     w = as_f32(weights)
@@ -87,6 +98,7 @@ def _bank(weights, layer: LayerSpec) -> np.ndarray:
     return w
 
 
+@_small_ufunc_buffer()
 def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     """Direct convolution over a filter bank of shape (filters, C, K, K).
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import CsfStream, encode_csf, stack_filters
-from .dense import _window_plane, as_f32, pad_channels
+from .dense import _small_ufunc_buffer, _window_plane, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
 # float32 elements per run_conv channel block (1 MB): a block spans as
@@ -151,6 +151,7 @@ class EngineContext:
         return self.global_buffer
 
 
+@_small_ufunc_buffer()
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
@@ -164,17 +165,15 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                                     layer.channels, stream.filters)
     taps, windows = k * k, out_h * out_w
     # regroup the entries tap-major, (tap, channel, filter): stream order
-    # is channel-major with filters ascending, so a stable sort keeps the
-    # rest
-    position = np.repeat(np.arange(stream.position_count), stream.counts)
-    order = np.argsort(position % taps, kind="stable")
-    chan = position[order] // taps
+    # is channel-major, so each position's run of entries moves whole.
+    # Tap t's entries for channels c0:c1 are bounds[t*C + c0]:bounds[t*C + c1]
+    runs = stream.counts.reshape(channels, taps).T.ravel()
+    bounds = np.concatenate(([0], np.cumsum(runs, dtype=np.int64)))
+    starts = stream.offsets[:-1].reshape(channels, taps).T.ravel()
+    order = np.repeat(starts - bounds[:-1], runs) + np.arange(bounds[-1])
+    chan = np.repeat(np.tile(np.arange(channels), taps), runs)
     register = chan * filters + stream.indices[order]
     weight = stream.weights[order, None]
-    # tap t's entries for channels c0:c1: bounds[t*C + c0]:bounds[t*C + c1]
-    bounds = np.concatenate(
-        ([0], np.cumsum(stream.counts.reshape(channels, taps).T,
-                         dtype=np.int64)))
     block = min(channels,
                 max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
     # the fewest equal pixel tiles that keep one channel's registers

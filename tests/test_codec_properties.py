@@ -8,17 +8,20 @@ stacked filters.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csfsim import (CsfFormatError, decode_csf, deserialize_csf, encode_csf,
-                    serialize_csf)
+from csfsim import (CsfFormatError, CsfStream, decode_csf, deserialize_csf,
+                    encode_csf, serialize_csf)
 
 # a weight is zero half the time, otherwise any finite float32
 _WEIGHTS = st.one_of(st.just(0.0),
                      st.floats(width=32, allow_nan=False, allow_infinity=False))
 _FILTERS = st.integers(0, 16)
+_NONZERO = st.floats(width=32, allow_nan=False,
+                     allow_infinity=False).map(lambda w: w or 1.0)
 
 
 @st.composite
@@ -114,3 +117,82 @@ def test_flipped_bytes_raise_format_error_or_roundtrip(blob, data):
     block = decode_csf(stream)
     again = encode_csf(block, stream.profile, stream.quantized)
     assert serialize_csf(again) == bytes(bad)
+
+
+@st.composite
+def broken_streams(draw):
+    """(filters, counts, rel, weights) of an fc stream with empty positions
+    and one or two broken entries, each in the first, the last or any
+    nonempty position: a zero gap after a position's first entry, a
+    filter index past the stack, a NaN or infinite weight, or a +-0.0
+    weight."""
+    filters = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.sets(st.integers(0, filters - 1)),
+                         min_size=2, max_size=12))
+    empty, full = draw(st.permutations(range(len(rows))))[:2]
+    rows[empty] = set()
+    rows[full] = rows[full] or {draw(st.integers(0, filters - 1))}
+    counts = [len(row) for row in rows]
+    rel = [j - prev for row in rows
+           for prev, j in zip([0] + sorted(row), sorted(row))]
+    weights = [draw(_NONZERO) for _ in rel]
+    # the entry ranges of the nonempty positions, in stream order
+    ends = np.cumsum(counts)
+    spans = [range(end - n, end) for n, end in zip(counts, ends) if n]
+    firsts = {span.start for span in spans}
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(["first", "last", "any"]))
+        span = {"first": spans[0], "last": spans[-1]}.get(
+            where, range(ends[-1]))
+        kind = draw(st.sampled_from(["gap", "index", "nonfinite", "zero"]))
+        # a zero gap is a break only after a position's first entry
+        eligible = [e for e in span if kind != "gap" or e not in firsts]
+        assume(eligible)
+        at = draw(st.sampled_from(eligible))
+        if kind == "gap":
+            rel[at] = 0
+        elif kind == "index":
+            rel[at] = filters + draw(st.integers(0, 3))
+        else:
+            weights[at] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf] if kind == "nonfinite"
+                else [0.0, -0.0]))
+    return filters, counts, rel, weights
+
+
+def first_break(filters, counts, rel, weights):
+    """The error message, entry by entry: the first rule, in the order
+    the constructor checks them, that any entry breaks, and that rule's
+    first offender in stream order."""
+    entries = []  # (position, first in its position, rel, index, weight)
+    at = 0
+    for position, count in enumerate(counts):
+        index = 0
+        for e in range(count):
+            index += rel[at]
+            entries.append((position, e == 0, rel[at], index, weights[at]))
+            at += 1
+    rules = [
+        (lambda first, r, i, w: r == 0 and not first,
+         lambda i: "non-ascending filter index"),
+        (lambda first, r, i, w: i >= filters,
+         lambda i: f"filter index {i} outside stack of {filters}"),
+        (lambda first, r, i, w: not math.isfinite(w),
+         lambda i: "non-finite weight"),
+        (lambda first, r, i, w: w == 0, lambda i: "zero weight"),
+    ]
+    for broken, what in rules:
+        for position, *entry in entries:
+            if broken(*entry):
+                return f"{what(entry[2])} at position {position}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_streams())
+def test_format_error_names_the_first_offender(case):
+    filters, counts, rel, weights = case
+    message = first_break(filters, counts, rel, weights)
+    with pytest.raises(CsfFormatError) as err:
+        CsfStream("fc", filters, len(counts), 1, np.array(counts),
+                  np.array(rel), np.array(weights, np.float32))
+    assert str(err.value) == message

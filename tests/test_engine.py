@@ -127,6 +127,26 @@ class TestRunConv:
         out, _ = run_conv(_conv_stream(bank), x, layer)
         assert np.array_equal(out, dense_conv(x, bank, layer))
 
+    @pytest.mark.parametrize("kernel, empty_tap", [(5, 0), (11, 120)])
+    def test_tap_major_regroup_skips_empty_runs(self, kernel, empty_tap):
+        # the first and last channels hold no entries and one tap holds
+        # none in any channel, so the (tap, channel) runs run_conv moves
+        # include empty ones at both ends of the stream
+        layer = LayerSpec("g", "conv", 4, kernel + 1, kernel, kernel, 1, 1, 5)
+        bank = random_sparse_filters(layer, 0.6, kernel)
+        bank[:, [0, -1]] = 0.0
+        bank.reshape(5, 4, kernel * kernel)[:, :, empty_tap] = 0.0
+        stream = _conv_stream(bank)
+        runs = stream.counts.reshape(4, kernel * kernel)
+        assert not runs[[0, -1]].any() and not runs[:, empty_tap].any()
+        assert runs[1:-1].all(axis=0).sum() >= kernel
+        x = _rand_input((4, kernel + 1, kernel), kernel + 1)
+        out, trace = run_conv(stream, x, layer)
+        ctx = EngineContext(layer, stream, x)
+        assert ctx.run().tobytes() == out.tobytes()
+        assert dense_conv(x, bank, layer).tobytes() == out.tobytes()
+        assert vars(ctx.counters) == vars(trace)
+
     def test_dense_alexnet_first_layer_trace(self):
         layer = LayerSpec("a1", "conv", 3, 227, 227, 11, 4, 0, 96)
         bank = random_sparse_filters(layer, 1.0, 1)

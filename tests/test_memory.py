@@ -1,4 +1,4 @@
-"""Working-memory bounds of generation, the engine and decode, via tracemalloc.
+"""Traced working-memory bounds of generation, the engine, encode and decode.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every bank, output and scratch array a call allocates, and the same call
@@ -62,3 +62,18 @@ def test_decode_writes_the_bank_it_decoded(tmp_path):
         main, ["decode", str(csf_path), "-o", str(tmp_path / "back")])
     assert code == 0
     assert peak <= 2 * bank.nbytes
+
+
+def test_encode_peaks_near_three_banks(tmp_path):
+    # VGG16 CONV5-1 at d0.1: the bank bytes read and the stacked copy
+    # are two banks and the nonzero mask a quarter of one; an int64
+    # array over the 236K nonzeros is a fifth. An encode that held about
+    # eight int64 or bool arrays per nonzero at once peaked at 3.9 banks
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    bank = random_sparse_filters(layer, 0.1, 1)
+    bank_path = tmp_path / "bank"
+    write_weight_bank(bank_path, bank)
+    code, peak = _traced_peak(
+        main, ["encode", str(bank_path), "-o", str(tmp_path / "bank.csf")])
+    assert code == 0
+    assert peak <= 3.25 * bank.nbytes
