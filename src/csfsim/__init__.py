@@ -12,16 +12,14 @@ metrics (`perf`), and a network config grammar plus CLI (`netconfig`,
 
 from .codec import (CsfFormatError, CsfStream, decode_csf, deserialize_csf,
                     encode_csf, quantize_shift, serialize_csf, stack_filters)
-from .dense import (as_f32, dense_conv, dense_fc, pad_channels,
-                    random_sparse_filters)
-from .engine import (EngineContext, TraceCounters, run_conv, run_fc,
-                     run_layer_batched, stack_trace)
+from .dense import dense_conv, dense_fc, random_sparse_filters
+from .engine import (TraceCounters, run_conv, run_fc, run_layer_batched,
+                     stack_trace)
 from .layers import LayerSpec, mac_count, output_shape
 from .netconfig import (ConfigError, NetworkConfig, load_network_config,
                         parse_network_config, render_network_config)
 from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
-from .tiling import (DivisionPlan, GroupingPlan, PlanError,
-                     plan_feature_division, plan_filter_grouping)
+from .tiling import PlanError, plan_feature_division, plan_filter_grouping
 
 __version__ = "0.1.0"
 
@@ -29,15 +27,11 @@ __all__ = [
     "ConfigError",
     "CsfFormatError",
     "CsfStream",
-    "DivisionPlan",
-    "EngineContext",
-    "GroupingPlan",
     "LayerSpec",
     "NetworkConfig",
     "PerfParams",
     "PlanError",
     "TraceCounters",
-    "as_f32",
     "decode_csf",
     "dense_conv",
     "dense_fc",
@@ -48,7 +42,6 @@ __all__ = [
     "load_network_config",
     "mac_count",
     "output_shape",
-    "pad_channels",
     "parse_network_config",
     "plan_feature_division",
     "plan_filter_grouping",

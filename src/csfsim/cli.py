@@ -1,8 +1,8 @@
 """Command line surface: encode, decode, verify, plan, macs, report.
 
 Exit codes: 0 on success, 1 when a verification run found a mismatch,
-2 on usage, config, or input-format errors, or an input too large for
-memory.
+2 on usage, config, or input-format errors, an input too large for
+memory, or a number too large for a float.
 
 Weight bank files are raw dumps: a 16-byte header of four little-endian
 32-bit unsigned extents (filters, channels, kernel, kernel; the two kernel
@@ -416,8 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "predicted timing, and both plans")
     p.add_argument("config", help="network config path or bundled name")
     add_plan_args(p)
-    # PerfParams' field defaults, not an instance's: an instance has
-    # already resolved weights_per_clock to its own pe_count
     for field in dataclasses.fields(PerfParams):
         p.add_argument("--" + field.name.replace("_", "-"),
                        type=float if field.type == "float" else int,
@@ -430,7 +428,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,9 +51,13 @@ _GEN_CHUNK = 1 << 16
 
 
 def as_f32(values, dims=None) -> np.ndarray:
-    """Coerce to a C-contiguous float32 array; rejects NaN/Inf values."""
+    """Coerce to a C-contiguous float32 array; rejects NaN/Inf values.
+
+    The check reads only the minimum and maximum, so it allocates no
+    array: NaN propagates through both and fails every comparison.
+    """
     arr = np.ascontiguousarray(values, dtype=np.float32)
-    if not np.isfinite(arr).all():
+    if arr.size and not -np.inf < arr.min() <= arr.max() < np.inf:
         raise ValueError("tensor contains NaN or Inf")
     if dims is not None and arr.shape != tuple(dims):
         raise ValueError(f"expected dims {tuple(dims)}, got {arr.shape}")

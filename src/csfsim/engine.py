@@ -7,10 +7,11 @@ it into the register of the filter it belongs to. Registers are zeroed at
 the start of the instruction and flushed into the output buffer at the end,
 so each output element accumulates one float32 partial sum per channel.
 
-`EngineContext.simd3d_step` is the literal instruction-level walk, one
-scalar multiply-accumulate at a time. `run_conv` and `run_fc` compute the
-same float32 sums in the same per-element order with vectorized sweeps
-across output coordinates and filters, so the two paths agree bit for bit.
+`run_conv` and `run_fc` compute these float32 sums in this per-element
+order with vectorized sweeps across output coordinates and filters. The
+literal instruction-level walk, one scalar multiply-accumulate at a
+time, is `EngineContext` in `tests/scalar_engine.py`: the tests' reference,
+which `run_conv` matches bit for bit.
 
 `run_conv` regroups a stream's entries tap-major, by (kernel tap,
 channel, filter), and walks the input in blocks of whole channels: as
@@ -35,7 +36,8 @@ whatever the plane; only one channel's window rows may exceed
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
 per-position count fetches, and instructions issued. `stack_trace` is
-the one formula for them; `EngineContext` tallies them load by load.
+the one formula for them; the scalar reference tallies them load by
+load.
 """
 
 from __future__ import annotations
@@ -95,62 +97,6 @@ def stack_trace(nnz: int, positions: int, channels: int,
                          channels * windows)
 
 
-def _conv_inputs(layer: LayerSpec, stream: CsfStream, features, who: str):
-    """Checks a conv layer/stream pair; returns (padded input, out_h, out_w)."""
-    if layer.kind != "conv" or stream.profile != "conv":
-        raise ValueError(f"{who} needs a conv layer and a conv stream")
-    if (stream.channels, stream.kernel) != (layer.channels, layer.kernel):
-        raise ValueError(
-            f"stream {stream.channels}x{stream.kernel} does not match "
-            f"layer {layer.channels}x{layer.kernel}"
-        )
-    x = as_f32(features, (layer.channels, layer.height, layer.width))
-    out_w, out_h = output_shape(layer)
-    return pad_channels(x, layer.pad), out_h, out_w
-
-
-class EngineContext:
-    """Scalar instruction-at-a-time execution over one conv stream."""
-
-    def __init__(self, layer: LayerSpec, stream: CsfStream, features):
-        self.padded, self.out_h, self.out_w = _conv_inputs(
-            layer, stream, features, "instruction stepping")
-        self.layer = layer
-        self.stream = stream
-        self.global_buffer = np.zeros((stream.filters, self.out_h, self.out_w),
-                                      np.float32)
-        self.counters = TraceCounters()
-
-    def simd3d_step(self, chi: int, y: int, x: int) -> np.ndarray:
-        """Run one instruction: window (y, x) of channel chi, all filters."""
-        k, stride = self.layer.kernel, self.layer.stride
-        s = self.stream
-        registers = np.zeros(s.filters, np.float32)
-        c = self.counters
-        for r in range(k):
-            for col in range(k):
-                value = self.padded[chi, y * stride + r, x * stride + col]
-                c.feature_loads += 1
-                c.pointer_loads += 1
-                p = (chi * k + r) * k + col
-                for i in range(s.offsets[p], s.offsets[p + 1]):
-                    registers[s.indices[i]] += s.weights[i] * value
-                    c.macs_executed += 1
-                    c.weight_loads += 1
-                    c.index_loads += 1
-        self.global_buffer[:, y, x] += registers
-        c.simd_instructions += 1
-        return registers.copy()
-
-    def run(self) -> np.ndarray:
-        """Issue every instruction of the layer; returns the output buffer."""
-        for chi in range(self.layer.channels):
-            for y in range(self.out_h):
-                for x in range(self.out_w):
-                    self.simd3d_step(chi, y, x)
-        return self.global_buffer
-
-
 @_small_ufunc_buffer()
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
@@ -160,7 +106,17 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     each output element's scalar accumulation sequence. Multiplies only
     the stream's nonzero weights: nnz x windows MACs.
     """
-    padded, out_h, out_w = _conv_inputs(layer, stream, features, "run_conv")
+    if layer.kind != "conv" or stream.profile != "conv":
+        raise ValueError("run_conv needs a conv layer and a conv stream")
+    if (stream.channels, stream.kernel) != (layer.channels, layer.kernel):
+        raise ValueError(
+            f"stream {stream.channels}x{stream.kernel} does not match "
+            f"layer {layer.channels}x{layer.kernel}"
+        )
+    padded = pad_channels(
+        as_f32(features, (layer.channels, layer.height, layer.width)),
+        layer.pad)
+    out_w, out_h = output_shape(layer)
     k, stride, channels, filters = (layer.kernel, layer.stride,
                                     layer.channels, stream.filters)
     taps, windows = k * k, out_h * out_w

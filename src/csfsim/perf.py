@@ -3,9 +3,9 @@
 Efficiency here is millions of multiply-accumulates divided by runtime in
 milliseconds and by a per-design divisor, so designs with different
 processing-element counts can be compared on one scale. The runtime
-predictor is a two-term bound: weight streaming and multiply throughput
-overlap (the slower one wins), and every instruction pays a fixed
-pipeline-drain latency on top.
+predictor charges the multiplies, spread over the processing elements,
+plus a fixed pipeline-drain latency per instruction. Each multiply uses
+exactly one fetched weight, so weight streaming needs no term of its own.
 """
 
 from __future__ import annotations
@@ -21,22 +21,18 @@ from .layers import LayerSpec, output_shape
 class PerfParams:
     """Design knobs for the runtime predictor and efficiency scaling.
 
-    weights_per_clock defaults to the processing-element count: the design
-    streams one weight per element per clock. efficiency_divisor is the
-    per-design constant the efficiency figure is normalized by.
+    pe_count processing elements each execute one multiply per clock.
+    efficiency_divisor is the per-design constant the efficiency figure
+    is normalized by.
     """
 
     pe_count: int = 8
     clock_mhz: float = 299.97
     add_latency_cycles: int = 11
-    weights_per_clock: int | None = None
     efficiency_divisor: int = 4
 
     def __post_init__(self):
-        if self.weights_per_clock is None:
-            object.__setattr__(self, "weights_per_clock", self.pe_count)
-        for name in ("pe_count", "add_latency_cycles", "weights_per_clock",
-                     "efficiency_divisor"):
+        for name in ("pe_count", "add_latency_cycles", "efficiency_divisor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # a clock whose kHz value overflows would price every layer at 0 ms
@@ -57,13 +53,11 @@ def efficiency_per_pe(macs_millions: float, runtime_ms: float,
 def predict_runtime(trace: TraceCounters, params: PerfParams) -> float:
     """Predicted milliseconds for one run's trace.
 
-    Weight streaming and multiply execution overlap, so the cycle count is
-    the larger of the two, plus a fixed drain latency per instruction
-    issued. Clock is in MHz, so cycles / (clock_mhz * 1000) gives ms.
+    ceil(macs_executed / pe_count) cycles of multiplies, plus a fixed
+    drain latency per instruction issued. Clock is in MHz, so
+    cycles / (clock_mhz * 1000) gives ms.
     """
-    stream_cycles = math.ceil(trace.weight_loads / params.weights_per_clock)
-    compute_cycles = math.ceil(trace.macs_executed / params.pe_count)
-    cycles = max(stream_cycles, compute_cycles) \
+    cycles = math.ceil(trace.macs_executed / params.pe_count) \
         + params.add_latency_cycles * trace.simd_instructions
     ms = cycles / (params.clock_mhz * 1000.0)
     if ms == math.inf:

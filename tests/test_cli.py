@@ -496,15 +496,23 @@ class TestReport:
         assert len(rows) == 6
         assert rows[1][2] == "105415200"
 
-    # the design streams one weight per processing element per clock
-    # unless told otherwise, whatever the element count
-    def test_weights_per_clock_follows_pe_count(self, capsys):
-        code, out, _ = run(capsys, "report", "lenet", "--pe-count", "16")
-        assert code == 0
-        assert run(capsys, "report", "lenet", "--pe-count", "16",
-                   "--weights-per-clock", "16")[1] == out
-        assert run(capsys, "report", "lenet", "--pe-count", "16",
-                   "--weights-per-clock", "8")[1] != out
+    # each multiply uses one fetched weight, so weight streaming has no
+    # throughput term and no flag of its own
+    def test_weights_per_clock_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "lenet", "--weights-per-clock", "8"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --weights-per-clock 8" in captured.err
+
+    # the cycle count or the efficiency denominator is then too large
+    # for a float
+    @pytest.mark.parametrize("flag", ["--add-latency-cycles",
+                                      "--efficiency-divisor"])
+    def test_overflowing_int_flag_is_an_input_error(self, capsys, flag):
+        code, out, err = run(capsys, "report", "lenet", flag, "1" + "0" * 400)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "too large" in err
 
     # 1e306 MHz is finite but its kHz value overflows
     @pytest.mark.parametrize("clock", ["inf", "nan", "1e306"])
@@ -519,6 +527,23 @@ class TestReport:
         code, out, err = run(capsys, "report", "lenet", "--clock-mhz", clock)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "clock_mhz" in err
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        assert sorted(csfsim.__all__) == [
+            "ConfigError", "CsfFormatError", "CsfStream", "LayerSpec",
+            "NetworkConfig", "PerfParams", "PlanError", "TraceCounters",
+            "decode_csf", "dense_conv", "dense_fc", "dense_trace",
+            "deserialize_csf", "efficiency_per_pe", "encode_csf",
+            "load_network_config", "mac_count", "output_shape",
+            "parse_network_config", "plan_feature_division",
+            "plan_filter_grouping", "predict_runtime", "quantize_shift",
+            "random_sparse_filters", "render_network_config", "run_conv",
+            "run_fc", "run_layer_batched", "serialize_csf", "stack_filters",
+            "stack_trace"]
+        for name in csfsim.__all__:
+            assert getattr(csfsim, name) is not None
 
 
 class TestParserReuse:

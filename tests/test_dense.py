@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csfsim import (LayerSpec, as_f32, dense, dense_conv, dense_fc,
-                    output_shape, random_sparse_filters, tiling)
+from csfsim import (LayerSpec, dense, dense_conv, dense_fc, output_shape,
+                    random_sparse_filters, tiling)
+from csfsim.dense import as_f32
 
 
 def _brute_conv(x, w, layer):
@@ -156,6 +157,15 @@ class TestAsF32:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             as_f32([1.0, float("nan")])
+
+    # the check reads only the extremes, which an infinity always is
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinities(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            as_f32([[0.5, bad], [-1.0, 2.0]])
+
+    def test_empty_passes(self):
+        assert as_f32(np.zeros((0, 3))).shape == (0, 3)
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError, match="dims"):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from csfsim import (EngineContext, LayerSpec, TraceCounters, dense_conv,
-                    dense_fc, encode_csf, output_shape, random_sparse_filters,
-                    run_conv, run_fc, run_layer_batched, stack_filters)
+from csfsim import (LayerSpec, TraceCounters, dense_conv, dense_fc,
+                    encode_csf, output_shape, random_sparse_filters, run_conv,
+                    run_fc, run_layer_batched, stack_filters)
+from scalar_engine import EngineContext
 
 
 def _rand_input(shape, seed):

@@ -15,7 +15,8 @@ hold them.
   10, kernel 1 to 3, stride 1 to 2, pad 0 to 1, 1 to 9 filters; pinned
   examples add a tile ending mid-row, a short last tile, and stride 2
   with pad 1;
-- `EngineContext.run` == `run_conv`, output bytes and counters: 1 to 3
+- the scalar reference `EngineContext.run` (`tests/scalar_engine.py`)
+  == `run_conv`, output bytes and counters: 1 to 3
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
   1 to 6 filters;
 - `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
@@ -31,10 +32,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csfsim import (EngineContext, LayerSpec, TraceCounters, dense_conv,
-                    dense_fc, encode_csf, output_shape, random_sparse_filters,
-                    run_conv, run_layer_batched, stack_filters, stack_trace)
+from csfsim import (LayerSpec, TraceCounters, dense_conv, dense_fc,
+                    encode_csf, output_shape, random_sparse_filters, run_conv,
+                    run_layer_batched, stack_filters, stack_trace)
 from csfsim import engine
+from scalar_engine import EngineContext
 
 _FEATURES = st.floats(-2.0, 2.0, width=32)
 

@@ -9,8 +9,8 @@ import tracemalloc
 
 import numpy as np
 
-from csfsim import (LayerSpec, encode_csf, engine, random_sparse_filters,
-                    run_conv, stack_filters)
+from csfsim import (LayerSpec, dense_fc, encode_csf, engine,
+                    random_sparse_filters, run_conv, stack_filters)
 from csfsim.cli import main, write_weight_bank
 
 MB = 1 << 20
@@ -34,6 +34,17 @@ def test_generation_peaks_near_the_bank():
     random_sparse_filters(LayerSpec("w", "fc", 1, 1, 1, 1, 1, 0, 1), 0.5, 0)
     bank, peak = _traced_peak(random_sparse_filters, layer, 0.1, 1)
     assert peak <= bank.nbytes + 2 * MB
+
+
+def test_dense_fc_checks_the_bank_in_place():
+    # AlexNet FC6's input as a 256-filter, 9 MiB bank: a float32 bank
+    # passes through as it is, and a finiteness check through a boolean
+    # mask would add a quarter bank
+    layer = LayerSpec("FC", "fc", 256, 6, 6, 1, 1, 0, 256)
+    bank = random_sparse_filters(layer, 0.1, 3)
+    features = np.random.default_rng(4).random((256, 6, 6), np.float32)
+    _, peak = _traced_peak(dense_fc, features, bank, layer)
+    assert peak < bank.nbytes / 8
 
 
 def test_run_conv_tiles_a_large_channel():

@@ -18,10 +18,6 @@ def _trace(macs=0, loads=None, instructions=0):
 
 
 class TestPerfParams:
-    def test_weights_per_clock_defaults_to_pe_count(self):
-        assert PerfParams(pe_count=8).weights_per_clock == 8
-        assert PerfParams(pe_count=8, weights_per_clock=2).weights_per_clock == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PerfParams(pe_count=0)
@@ -75,8 +71,7 @@ class TestPredictRuntime:
         assert ms == pytest.approx(11 * 100 / (299.97 * 1000.0))
 
     def test_compute_term_doubles_with_macs(self):
-        # plenty of load bandwidth: weight term never dominates
-        params = PerfParams(pe_count=8, weights_per_clock=10 ** 9)
+        params = PerfParams(pe_count=8)
         base = predict_runtime(_trace(macs=80_000), params)
         double = predict_runtime(_trace(macs=160_000), params)
         assert double == pytest.approx(2 * base)
@@ -85,7 +80,7 @@ class TestPredictRuntime:
         params = PerfParams(pe_count=8, clock_mhz=299.97,
                             add_latency_cycles=11)
         trace = _trace(macs=1000, instructions=7)
-        cycles = max(math.ceil(1000 / 8), math.ceil(1000 / 8)) + 11 * 7
+        cycles = math.ceil(1000 / 8) + 11 * 7
         assert predict_runtime(trace, params) == cycles / (299.97 * 1000.0)
 
     # a subnormal clock, or a normal but tiny one, turns a large cycle
@@ -95,11 +90,6 @@ class TestPredictRuntime:
         params = PerfParams(clock_mhz=clock)
         with pytest.raises(ValueError, match="clock_mhz"):
             predict_runtime(_trace(macs=8 * 10 ** 6), params)
-
-    def test_load_bound_side(self):
-        params = PerfParams(pe_count=1000, weights_per_clock=1)
-        trace = _trace(macs=500, loads=500, instructions=0)
-        assert predict_runtime(trace, params) == 500 / (299.97 * 1000.0)
 
     def test_monotone_in_every_count(self):
         params = PerfParams()
