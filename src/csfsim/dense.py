@@ -19,6 +19,14 @@ most once per tap, so each product is added once. Tiling changes which
 elements are computed together, never the sequence of float32 additions
 any one output element sees.
 
+On a layer whose filters x output pixels reach `_COMPACT_FLOATS`, a
+channel where fewer than half of the filters take two or more products
+keeps partial sums for those filters alone, packed in filter order and
+flushed into their output rows with one scatter. A filter with a single
+product adds it straight into the output in its tap's turn, and a
+filter with none is left alone. Every other channel keeps one partial
+sum per filter and its contiguous flush.
+
 `dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
 at the default 8192, multiplying rows of a few hundred to 3000 floats by
 a weight column copies the column through the buffer, at 2-4x the cost.
@@ -29,8 +37,11 @@ are -0.0, so a partial is never -0.0. Inputs are finite (`as_f32`
 rejects NaN and Inf), so a zero weight's product is +-0.0, and adding
 +-0.0 to a partial that is not -0.0 leaves it unchanged. The same rule
 keeps the output, which starts at +0.0, free of -0.0, so a channel with
-no nonzero weight is skipped before its window planes are copied. The
-bytes are those of the whole-plane loop over every weight.
+no nonzero weight is skipped before its window planes are copied, and a
+single product p may go straight into the output: its partial would be
++0.0 + p, which differs from p only when p is -0.0, and adding either
+zero to the output gives the same bytes. The bytes are those of the
+whole-plane loop over every weight.
 """
 
 from __future__ import annotations
@@ -44,6 +55,15 @@ from .layers import LayerSpec, output_shape
 # output pixels per dense_conv tile: a tile's partial sums are
 # filters x _PIXEL_BLOCK floats
 _PIXEL_BLOCK = 1 << 12
+
+# filters x output pixels from which dense_conv keeps partial sums only
+# for the filters with two or more products in a channel. Below it the
+# output rows are short, and the second scatter per tap and the longer
+# per-channel set-up cost more than the fills and flushes they save
+_COMPACT_FLOATS = 1 << 18
+
+# floats of products per dense_fc chunk of filters (256 KB)
+_FC_CHUNK = 1 << 16
 
 # weights random_sparse_filters writes per chunk: its scratch is three
 # float64 draws of this length (1.5 MB), whatever the bank's size
@@ -122,30 +142,53 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     partial = np.empty((filters, pix_block), np.float32)
     windows = np.empty((k * k, out_h, out_w), np.float32)
     rows = windows.reshape(k * k, pixels)
+    # on a large layer, a channel where fewer than half of the filters
+    # take two or more products keeps partial sums for those alone
+    large = filters * pixels >= _COMPACT_FLOATS
+    ends = np.arange(k * k + 1)
+    no_lone = [0] * (k * k + 1)
     for chi in range(layer.channels):
         taps = w[:, chi].reshape(filters, k * k).T
-        # nonzero (tap, filter) pairs in that order; tap t's pairs are
-        # bounds[t]:bounds[t + 1]
+        # nonzero (tap, filter) pairs in that order
         tap, filt = np.nonzero(taps)
         if not len(tap):
             continue
         weight = taps[tap, filt][:, None]
-        bounds = np.searchsorted(tap, np.arange(k * k + 1))
+        # tap t's pairs bounds[t]:bounds[t + 1] add into partial sums
+        # part_of, which flush into filters `flush`; the pairs of its
+        # filters with a single product, lone_bounds[t]:lone_bounds[t +
+        # 1], add straight into the output
+        sums, part_of, flush, lone_bounds = filters, filt, slice(None), no_lone
+        if large:
+            products = np.bincount(filt, minlength=filters)
+            summed = products >= 2
+            if 2 * np.count_nonzero(summed) < filters:
+                lone = products[filt] == 1
+                lone_filt, lone_weight = filt[lone], weight[lone]
+                lone_bounds = np.searchsorted(tap[lone], ends).tolist()
+                tap, weight = tap[~lone], weight[~lone]
+                flush = np.flatnonzero(summed)
+                sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
+        bounds = np.searchsorted(tap, ends).tolist()
         for r in range(k):
             for c in range(k):
                 windows[r * k + c] = _window_plane(padded, chi, r, c,
                                                    out_h, out_w, layer.stride)
         for p0 in range(0, pixels, pix_block):
             p1 = min(pixels, p0 + pix_block)
-            part = partial[:, :p1 - p0]
-            # start from +0.0 like a zeroed register file, so a lone
-            # -0.0 product still sums to +0.0
+            part = partial[:sums, :p1 - p0]
+            # start from +0.0 like a zeroed register file, so products
+            # that are all -0.0 still sum to +0.0
             part.fill(0.0)
             for t in range(k * k):
                 lo, hi = bounds[t], bounds[t + 1]
                 if hi > lo:
-                    part[filt[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
-            out[:, p0:p1] += part
+                    part[part_of[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
+                lo, hi = lone_bounds[t], lone_bounds[t + 1]
+                if hi > lo:
+                    out[lone_filt[lo:hi], p0:p1] += (lone_weight[lo:hi]
+                                                     * rows[t, p0:p1])
+            out[flush, p0:p1] += part
     return out.reshape(filters, out_h, out_w)
 
 
@@ -153,15 +196,24 @@ def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
     """Full dot product per filter, accumulated in input stream order.
 
     Weights have shape (filters, C, H, W); output is (filters, 1, 1).
+    Each filter's products are summed left to right by a row-wise
+    `np.add.accumulate`, which starts from the first product instead of
+    +0.0; the two sums differ only where every product so far is -0.0,
+    so one `+ 0.0` at the end gives the running sum's bytes. Filters go
+    in chunks whose products fill at most `_FC_CHUNK` floats (at least
+    one filter), so the scratch stays small whatever the bank's size.
     """
     if layer.kind != "fc":
         raise ValueError(f"{layer.name}: dense_fc needs an fc layer")
     x = as_f32(features, (layer.channels, layer.height, layer.width)).ravel()
     w = _bank(weights, layer)
     flat = w.reshape(w.shape[0], x.size)
-    out = np.zeros(w.shape[0], np.float32)
-    for p in range(x.size):
-        out += flat[:, p] * x[p]
+    out = np.empty(w.shape[0], np.float32)
+    chunk = max(1, _FC_CHUNK // x.size)
+    for f0 in range(0, len(out), chunk):
+        out[f0:f0 + chunk] = np.add.accumulate(flat[f0:f0 + chunk] * x,
+                                               axis=1)[:, -1]
+    out += 0.0
     return out.reshape(w.shape[0], 1, 1)
 
 

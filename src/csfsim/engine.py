@@ -33,6 +33,22 @@ products, stay within `_REGISTER_FLOATS` give or take one per filter,
 whatever the plane; only one channel's window rows may exceed
 `_BLOCK_FLOATS`.
 
+When that rule gives one-channel blocks (a large plane), `run_conv`
+walks the channels in stream order instead, with no regroup: one
+channel's entries are already tap-major. Each product is a tap's weight
+column times its one window row, broadcast, not a gathered copy per
+entry. A filter with exactly one product p in the channel adds it
+straight into the output: its register would hold +0.0 + p, which
+differs from p only when p is -0.0, and adding either zero to an output
+element gives the same bytes, because the output starts at +0.0 and
+round-to-nearest addition gives -0.0 only from two -0.0 operands, so it
+is never -0.0. A filter with no product is skipped for the same reason.
+So when fewer than half of a channel's filters take two or more
+products, only those get registers, packed in filter order: zeroed,
+summed in tap order and flushed with one scatter. Otherwise the channel
+keeps the full register file and its contiguous flush. Each entry's
+product count comes from one pass over the whole stream.
+
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
 per-position count fetches, and instructions issued. `stack_trace` is
@@ -102,9 +118,11 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
     Vectorized over blocks of whole channels, one gather, multiply and
-    scatter per kernel tap and block (see the module docstring), preserving
-    each output element's scalar accumulation sequence. Multiplies only
-    the stream's nonzero weights: nnz x windows MACs.
+    scatter per kernel tap and block, or on a large plane channel by
+    channel with registers only for filters of two or more products (see
+    the module docstring), preserving each output element's scalar
+    accumulation sequence. Multiplies only the stream's nonzero weights:
+    nnz x windows MACs.
     """
     if layer.kind != "conv" or stream.profile != "conv":
         raise ValueError("run_conv needs a conv layer and a conv stream")
@@ -116,6 +134,31 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     padded = pad_channels(
         as_f32(features, (layer.channels, layer.height, layer.width)),
         layer.pad)
+    out_w, out_h = output_shape(layer)
+    channels, filters = layer.channels, stream.filters
+    taps, windows = layer.kernel ** 2, out_h * out_w
+    block = min(channels,
+                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
+    # the fewest equal pixel tiles that keep one channel's registers
+    # within _REGISTER_FLOATS
+    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
+    tile = -(-windows // tiles)
+    out = np.zeros((filters, windows), np.float32)
+    if block == 1:
+        _run_channels(stream, padded, layer, tile, out)
+    else:
+        _run_blocks(stream, padded, layer, block, tile, out)
+    return out.reshape(filters, out_h, out_w), stack_trace(
+        stream.total_nnz, stream.position_count, channels, windows)
+
+
+def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
+                block: int, tile: int, out: np.ndarray) -> None:
+    """Add a conv stream's products into `out`, `block` channels at a time.
+
+    `out` is (filters, windows), walked in pixel tiles of `tile`: one
+    gather, multiply and scatter per tap, block and tile.
+    """
     out_w, out_h = output_shape(layer)
     k, stride, channels, filters = (layer.kernel, layer.stride,
                                     layer.channels, stream.filters)
@@ -130,17 +173,10 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     chan = np.repeat(np.tile(np.arange(channels), taps), runs)
     register = chan * filters + stream.indices[order]
     weight = stream.weights[order, None]
-    block = min(channels,
-                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
-    # the fewest equal pixel tiles that keep one channel's registers
-    # within _REGISTER_FLOATS
-    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
-    tile = -(-windows // tiles)
     window_rows = np.empty((taps, block, out_h, out_w), np.float32)
     # flat, so a short last tile's registers are still one contiguous
     # (channel, filter) x pixels array
     partial = np.empty(block * filters * tile, np.float32)
-    out = np.zeros((filters, windows), np.float32)
     for c0 in range(0, channels, block):
         c1 = min(channels, c0 + block)
         rows = window_rows[:, :c1 - c0]
@@ -164,8 +200,71 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
                     registers[register[lo:hi] - c0 * filters] += product
             for chan_registers in registers.reshape(c1 - c0, filters, p1 - p0):
                 out[:, p0:p1] += chan_registers
-    return out.reshape(filters, out_h, out_w), stack_trace(
-        stream.total_nnz, stream.position_count, channels, windows)
+
+def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
+                  tile: int, out: np.ndarray) -> None:
+    """Add a conv stream's products into `out`, one channel at a time.
+
+    `out` is (filters, windows), walked in pixel tiles of `tile`. Each
+    product is a weight column times one broadcast window row; registers
+    go only to filters with two or more products in the channel when
+    fewer than half of the filters need one (see the module docstring).
+    """
+    out_w, out_h = output_shape(layer)
+    k, channels, filters = layer.kernel, layer.channels, stream.filters
+    taps, windows = k * k, out_h * out_w
+    # classify every entry at once: its position (channel * taps + tap),
+    # and how many products its (channel, filter) pair takes
+    position = np.repeat(np.arange(stream.position_count), stream.counts)
+    chan = position // taps
+    pair = chan * filters + stream.indices
+    products = np.bincount(pair, minlength=channels * filters).reshape(
+        channels, filters)
+    summed = products >= 2
+    compact = 2 * np.count_nonzero(summed, axis=1) < filters
+    lone = compact[chan] & (products.ravel()[pair] == 1)
+    # a summed entry adds into register register_of[e]: its filter, or
+    # in a compacted channel its rank among the channel's summed filters
+    register_of = np.where(compact[chan],
+                           np.cumsum(summed, axis=1).ravel()[pair] - 1,
+                           stream.indices)[~lone]
+    weight = stream.weights[~lone, None]
+    lone_filter = stream.indices[lone]
+    lone_weight = stream.weights[lone, None]
+    # position p's summed entries are bounds[p]:bounds[p + 1], its lone
+    # entries lone_bounds[p]:lone_bounds[p + 1]
+    bounds, lone_bounds = (
+        np.concatenate(([0], np.cumsum(np.bincount(
+            position[chosen], minlength=stream.position_count)))).tolist()
+        for chosen in (~lone, lone))
+    window_rows = np.empty((taps, out_h, out_w), np.float32)
+    rows = window_rows.reshape(taps, windows)
+    partial = np.empty(filters * tile, np.float32)
+    for c in range(channels):
+        first, last = c * taps, (c + 1) * taps
+        if stream.offsets[first] == stream.offsets[last]:
+            continue
+        flush = np.flatnonzero(summed[c]) if compact[c] else slice(None)
+        held = len(flush) if compact[c] else filters
+        for r in range(k):
+            for col in range(k):
+                window_rows[r * k + col] = _window_plane(
+                    padded, c, r, col, out_h, out_w, layer.stride)
+        for p0 in range(0, windows, tile):
+            p1 = min(windows, p0 + tile)
+            registers = partial[:held * (p1 - p0)].reshape(held, p1 - p0)
+            # start from +0.0 like a zeroed register file
+            registers.fill(0.0)
+            for t in range(taps):
+                lo, hi = bounds[first + t], bounds[first + t + 1]
+                if hi > lo:
+                    registers[register_of[lo:hi]] += (weight[lo:hi]
+                                                      * rows[t, p0:p1])
+                lo, hi = lone_bounds[first + t], lone_bounds[first + t + 1]
+                if hi > lo:
+                    out[lone_filter[lo:hi], p0:p1] += (lone_weight[lo:hi]
+                                                       * rows[t, p0:p1])
+            out[flush, p0:p1] += registers
 
 
 def run_fc(stream: CsfStream, features):

@@ -20,7 +20,12 @@ hold them.
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
   1 to 6 filters;
 - `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
-  `run_layer_batched`'s counters, within the first property's bounds.
+  `run_layer_batched`'s counters, within the first property's bounds;
+- pinned: one-channel and multi-channel blocks at d0.1, where some
+  channel gives registers only to filters with two or more products,
+  and at d0.7, where every channel keeps its full register file, with
+  pixel tiles ending mid-row, == oracle and scalar reference; a lone
+  product of -0.0 leaves no -0.0 in the output.
 """
 
 import math
@@ -142,6 +147,48 @@ def test_pixel_tiles_equal_oracle_bytewise(layer, registers, block):
         -2.0, 2.0, (layer.channels, layer.height, layer.width)
     ).astype(np.float32)
     _run_conv_patched(layer, bank, features, block, registers)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.7], ids=["compacted", "full-file"])
+@pytest.mark.parametrize("block", [1, 1 << 18], ids=["one-channel", "blocks"])
+def test_summed_filter_registers_equal_scalar_reference(density, block):
+    # one-channel blocks give registers only to the filters with two or
+    # more products when fewer than half of the 24 need one: at d0.1
+    # some channel does, at d0.7 none. 24 filters x 7x9 windows = 1512
+    # registers over 500: tiles of 16, 16, 16 and 15 pixels, ending
+    # mid-row of the 9-wide output
+    layer = LayerSpec("sel", "conv", 3, 7, 9, 3, 1, 1, 24)
+    bank = random_sparse_filters(layer, density, 31)
+    summed = np.count_nonzero(bank.reshape(24, 3, 9), axis=2) >= 2
+    assert (2 * summed.sum(axis=0) < 24).any() == (density < 0.5)
+    features = np.random.default_rng(32).uniform(
+        -2.0, 2.0, (3, 7, 9)).astype(np.float32)
+    _run_conv_patched(layer, bank, features, block, 500)
+    with mock.patch.multiple(engine, _BLOCK_FLOATS=block,
+                             _REGISTER_FLOATS=500):
+        actual, _ = run_conv(_whole_stack(bank), features, layer)
+    stepped = EngineContext(layer, _whole_stack(bank), features).run()
+    assert actual.tobytes() == stepped.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 1 << 18], ids=["one-channel", "blocks"])
+def test_lone_negative_zero_product(block):
+    # filter 0 takes one product per channel, a positive weight on input
+    # samples that are -0.0 in channel 1 and in half of channel 0; filter
+    # 1 takes two, filters 2 and 3 none. A lone product goes straight
+    # into the output, which must stay free of -0.0
+    layer = LayerSpec("nz1", "conv", 2, 6, 6, 3, 1, 1, 4)
+    bank = np.zeros((4, 2, 3, 3), np.float32)
+    bank[0, :, 1, 1] = 0.5
+    bank[1, :, 0, 0] = bank[1, :, 2, 2] = -1.5
+    features = np.full((2, 6, 6), -0.0, np.float32)
+    features[0, :3] = np.random.default_rng(33).uniform(-2.0, 2.0, (3, 6))
+    _run_conv_patched(layer, bank, features, block, 1 << 20)
+    with mock.patch.object(engine, "_BLOCK_FLOATS", block):
+        actual, _ = run_conv(_whole_stack(bank), features, layer)
+    stepped = EngineContext(layer, _whole_stack(bank), features).run()
+    assert actual.tobytes() == stepped.tobytes()
+    assert not (np.signbit(actual) & (actual == 0)).any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from csfsim import (LayerSpec, dense_fc, encode_csf, engine,
+from csfsim import (LayerSpec, dense_conv, dense_fc, encode_csf, engine,
                     random_sparse_filters, run_conv, stack_filters)
 from csfsim.cli import main, write_weight_bank
 
@@ -45,6 +45,18 @@ def test_dense_fc_checks_the_bank_in_place():
     features = np.random.default_rng(4).random((256, 6, 6), np.float32)
     _, peak = _traced_peak(dense_fc, features, bank, layer)
     assert peak < bank.nbytes / 8
+
+
+def test_dense_conv_scratch_stays_near_the_output():
+    # VGG16 CONV1-1 at d0.1: a 12.25 MiB output. The window rows (1.7
+    # MiB), the padded input (0.6 MiB), one tile's partial sums (1 MiB)
+    # and one tap's products fit in 4 MiB; partial sums or products
+    # over the whole plane would not
+    layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
+    bank = random_sparse_filters(layer, 0.1, 2)
+    features = np.random.default_rng(1).random((3, 224, 224), np.float32)
+    out, peak = _traced_peak(dense_conv, features, bank, layer)
+    assert peak <= out.nbytes + 4 * MB
 
 
 def test_run_conv_tiles_a_large_channel():
