@@ -19,13 +19,13 @@ most once per tap, so each product is added once. Tiling changes which
 elements are computed together, never the sequence of float32 additions
 any one output element sees.
 
-On a layer whose filters x output pixels reach `_COMPACT_FLOATS`, a
-channel where fewer than half of the filters take two or more products
-keeps partial sums for those filters alone, packed in filter order and
-flushed into their output rows with one scatter. A filter with a single
-product adds it straight into the output in its tap's turn, and a
-filter with none is left alone. Every other channel keeps one partial
-sum per filter and its contiguous flush.
+On a layer whose filters x output pixels reach `_COMPACT_FLOATS`, each
+channel keeps partial sums only for the filters with two or more
+products in it, packed in filter order and flushed into their output
+rows with one scatter. A filter with a single product adds it straight
+into the output in its tap's turn, and a filter with none is left
+alone. On a smaller layer every channel keeps one partial sum per
+filter and its contiguous flush.
 
 `dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
 at the default 8192, multiplying rows of a few hundred to 3000 floats by
@@ -57,13 +57,12 @@ from .layers import LayerSpec, output_shape
 _PIXEL_BLOCK = 1 << 12
 
 # filters x output pixels from which dense_conv keeps partial sums only
-# for the filters with two or more products in a channel. Below it the
-# output rows are short, and the second scatter per tap and the longer
-# per-channel set-up cost more than the fills and flushes they save
+# for the filters with two or more products in a channel. Below it
+# (VGG16 CONV5-x, AlexNet CONV2-5) the output rows are short, and the
+# second scatter per tap and the longer per-channel set-up cost more than
+# the fills and flushes they save. VGG16 CONV4-x (401408) is break-even:
+# at d0.1 it took the same time with the gate here and at 2^19 (2-vCPU VM)
 _COMPACT_FLOATS = 1 << 18
-
-# floats of products per dense_fc chunk of filters (256 KB)
-_FC_CHUNK = 1 << 16
 
 # weights random_sparse_filters writes per chunk: its scratch is three
 # float64 draws of this length (1.5 MB), whatever the bank's size
@@ -142,8 +141,8 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     partial = np.empty((filters, pix_block), np.float32)
     windows = np.empty((k * k, out_h, out_w), np.float32)
     rows = windows.reshape(k * k, pixels)
-    # on a large layer, a channel where fewer than half of the filters
-    # take two or more products keeps partial sums for those alone
+    # on a large layer, each channel keeps partial sums only for the
+    # filters with two or more products in it
     large = filters * pixels >= _COMPACT_FLOATS
     ends = np.arange(k * k + 1)
     no_lone = [0] * (k * k + 1)
@@ -161,14 +160,12 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
         sums, part_of, flush, lone_bounds = filters, filt, slice(None), no_lone
         if large:
             products = np.bincount(filt, minlength=filters)
-            summed = products >= 2
-            if 2 * np.count_nonzero(summed) < filters:
-                lone = products[filt] == 1
-                lone_filt, lone_weight = filt[lone], weight[lone]
-                lone_bounds = np.searchsorted(tap[lone], ends).tolist()
-                tap, weight = tap[~lone], weight[~lone]
-                flush = np.flatnonzero(summed)
-                sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
+            lone = products[filt] == 1
+            lone_filt, lone_weight = filt[lone], weight[lone]
+            lone_bounds = np.searchsorted(tap[lone], ends).tolist()
+            tap, weight = tap[~lone], weight[~lone]
+            flush = np.flatnonzero(products >= 2)
+            sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
         bounds = np.searchsorted(tap, ends).tolist()
         for r in range(k):
             for c in range(k):
@@ -196,24 +193,15 @@ def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
     """Full dot product per filter, accumulated in input stream order.
 
     Weights have shape (filters, C, H, W); output is (filters, 1, 1).
-    Each filter's products are summed left to right by a row-wise
-    `np.add.accumulate`, which starts from the first product instead of
-    +0.0; the two sums differ only where every product so far is -0.0,
-    so one `+ 0.0` at the end gives the running sum's bytes. Filters go
-    in chunks whose products fill at most `_FC_CHUNK` floats (at least
-    one filter), so the scratch stays small whatever the bank's size.
     """
     if layer.kind != "fc":
         raise ValueError(f"{layer.name}: dense_fc needs an fc layer")
     x = as_f32(features, (layer.channels, layer.height, layer.width)).ravel()
     w = _bank(weights, layer)
     flat = w.reshape(w.shape[0], x.size)
-    out = np.empty(w.shape[0], np.float32)
-    chunk = max(1, _FC_CHUNK // x.size)
-    for f0 in range(0, len(out), chunk):
-        out[f0:f0 + chunk] = np.add.accumulate(flat[f0:f0 + chunk] * x,
-                                               axis=1)[:, -1]
-    out += 0.0
+    out = np.zeros(w.shape[0], np.float32)
+    for p in range(x.size):
+        out += flat[:, p] * x[p]
     return out.reshape(w.shape[0], 1, 1)
 
 

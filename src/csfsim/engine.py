@@ -43,11 +43,10 @@ differs from p only when p is -0.0, and adding either zero to an output
 element gives the same bytes, because the output starts at +0.0 and
 round-to-nearest addition gives -0.0 only from two -0.0 operands, so it
 is never -0.0. A filter with no product is skipped for the same reason.
-So when fewer than half of a channel's filters take two or more
-products, only those get registers, packed in filter order: zeroed,
-summed in tap order and flushed with one scatter. Otherwise the channel
-keeps the full register file and its contiguous flush. Each entry's
-product count comes from one pass over the whole stream.
+So only the filters with two or more products in a channel get
+registers, packed in filter order: zeroed, summed in tap order and
+flushed with one scatter. Each entry's product count comes from one
+pass over the whole stream.
 
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
@@ -201,14 +200,15 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
             for chan_registers in registers.reshape(c1 - c0, filters, p1 - p0):
                 out[:, p0:p1] += chan_registers
 
+
 def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
                   tile: int, out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, one channel at a time.
 
     `out` is (filters, windows), walked in pixel tiles of `tile`. Each
     product is a weight column times one broadcast window row; registers
-    go only to filters with two or more products in the channel when
-    fewer than half of the filters need one (see the module docstring).
+    go only to filters with two or more products in the channel (see the
+    module docstring).
     """
     out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
@@ -218,16 +218,12 @@ def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     position = np.repeat(np.arange(stream.position_count), stream.counts)
     chan = position // taps
     pair = chan * filters + stream.indices
-    products = np.bincount(pair, minlength=channels * filters).reshape(
-        channels, filters)
-    summed = products >= 2
-    compact = 2 * np.count_nonzero(summed, axis=1) < filters
-    lone = compact[chan] & (products.ravel()[pair] == 1)
-    # a summed entry adds into register register_of[e]: its filter, or
-    # in a compacted channel its rank among the channel's summed filters
-    register_of = np.where(compact[chan],
-                           np.cumsum(summed, axis=1).ravel()[pair] - 1,
-                           stream.indices)[~lone]
+    products = np.bincount(pair, minlength=channels * filters)
+    lone = products[pair] == 1
+    summed = (products >= 2).reshape(channels, filters)
+    # a summed entry adds into register register_of[e]: its filter's rank
+    # among the channel's summed filters
+    register_of = (np.cumsum(summed, axis=1).ravel() - 1)[pair[~lone]]
     weight = stream.weights[~lone, None]
     lone_filter = stream.indices[lone]
     lone_weight = stream.weights[lone, None]
@@ -244,15 +240,15 @@ def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
         first, last = c * taps, (c + 1) * taps
         if stream.offsets[first] == stream.offsets[last]:
             continue
-        flush = np.flatnonzero(summed[c]) if compact[c] else slice(None)
-        held = len(flush) if compact[c] else filters
+        flush = np.flatnonzero(summed[c])
         for r in range(k):
             for col in range(k):
                 window_rows[r * k + col] = _window_plane(
                     padded, c, r, col, out_h, out_w, layer.stride)
         for p0 in range(0, windows, tile):
             p1 = min(windows, p0 + tile)
-            registers = partial[:held * (p1 - p0)].reshape(held, p1 - p0)
+            registers = partial[:len(flush) * (p1 - p0)].reshape(
+                len(flush), p1 - p0)
             # start from +0.0 like a zeroed register file
             registers.fill(0.0)
             for t in range(taps):
