@@ -90,16 +90,21 @@ def pad_channels(features: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(features, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def _window_plane(padded: np.ndarray, chans: int | slice, r: int, c: int,
-                  out_h: int, out_w: int, stride: int) -> np.ndarray:
-    """The out_h x out_w input samples that kernel position (r, c) touches.
+def _copy_windows(padded: np.ndarray, chans: int | slice, layer: LayerSpec,
+                  out: np.ndarray) -> None:
+    """Copy the input samples kernel tap t touches into out[t].
 
-    `chans` picks one channel, giving an (out_h, out_w) view, or a slice
-    of channels, giving a (channels, out_h, out_w) view.
+    Taps run in kernel row then column order. `chans` picks one channel,
+    with `out` of shape (taps, out_h, out_w), or a slice of channels, with
+    `out` of shape (taps, channels, out_h, out_w).
     """
-    return padded[chans,
-                  r:r + (out_h - 1) * stride + 1:stride,
-                  c:c + (out_w - 1) * stride + 1:stride]
+    k, stride = layer.kernel, layer.stride
+    out_h, out_w = out.shape[-2:]
+    for r in range(k):
+        for c in range(k):
+            out[r * k + c] = padded[chans,
+                                    r:r + (out_h - 1) * stride + 1:stride,
+                                    c:c + (out_w - 1) * stride + 1:stride]
 
 
 @contextlib.contextmanager
@@ -167,10 +172,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
             flush = np.flatnonzero(products >= 2)
             sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
         bounds = np.searchsorted(tap, ends).tolist()
-        for r in range(k):
-            for c in range(k):
-                windows[r * k + c] = _window_plane(padded, chi, r, c,
-                                                   out_h, out_w, layer.stride)
+        _copy_windows(padded, chi, layer, windows)
         for p0 in range(0, pixels, pix_block):
             p1 = min(pixels, p0 + pix_block)
             part = partial[:sums, :p1 - p0]

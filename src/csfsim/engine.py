@@ -16,22 +16,17 @@ which `run_conv` matches bit for bit.
 `run_conv` regroups a stream's entries tap-major, by (kernel tap,
 channel, filter), and walks the input in blocks of whole channels: as
 many as keep a block's registers and its window rows each within
-`_BLOCK_FLOATS`, and at least one. Per block it copies each tap's window
-rows. A channel whose registers alone exceed `_REGISTER_FLOATS` (a
-large plane) is cut into the fewest equal pixel tiles within it; per
-tile it zeroes one register row per (channel, filter) and then, tap by
-tap in kernel row then column order, gathers the tile's window rows the
-tap's entries read, multiplies them by their weights and adds them into
-their registers in one scatter. Finally it flushes the registers into
-the output one channel at a time, in channel order. This is exact:
-registers of different channels never mix, a (channel, filter) register
-appears at most once per tap so the scatter adds each product once, and
-each output element still sees, per channel, +0.0 plus that channel's
-products in tap order, then one flush per channel; a tile only decides
-which elements are computed together. So the registers, and one tap's
-products, stay within `_REGISTER_FLOATS` give or take one per filter,
-whatever the plane; only one channel's window rows may exceed
-`_BLOCK_FLOATS`.
+`_BLOCK_FLOATS`. Per block it copies each tap's window rows, zeroes one
+register row per (channel, filter) and then, tap by tap in kernel row
+then column order, gathers the window rows the tap's entries read,
+multiplies them by their weights and adds them into their registers in
+one scatter. Finally it flushes the registers into the output one
+channel at a time, in channel order. This is exact: registers of
+different channels never mix, a (channel, filter) register appears at
+most once per tap so the scatter adds each product once, and each
+output element still sees, per channel, +0.0 plus that channel's
+products in tap order, then one flush per channel. So a block's
+registers, and one tap's products, stay within `_BLOCK_FLOATS`.
 
 When that rule gives one-channel blocks (a large plane), `run_conv`
 walks the channels in stream order instead, with no regroup: one
@@ -46,7 +41,12 @@ is never -0.0. A filter with no product is skipped for the same reason.
 So only the filters with two or more products in a channel get
 registers, packed in filter order: zeroed, summed in tap order and
 flushed with one scatter. Each entry's product count comes from one
-pass over the whole stream.
+pass over the whole stream. A channel whose full register file
+(filters x windows) would exceed `_REGISTER_FLOATS` runs in the fewest
+equal pixel tiles within it; a tile only decides which elements are
+computed together. So the registers, and one tap's products, stay
+within `_REGISTER_FLOATS` give or take one per filter, whatever the
+plane; only one channel's window rows may exceed `_BLOCK_FLOATS`.
 
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
@@ -62,22 +62,23 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import CsfStream, encode_csf, stack_filters
-from .dense import _small_ufunc_buffer, _window_plane, as_f32, pad_channels
+from .dense import _copy_windows, _small_ufunc_buffer, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
 # float32 elements per run_conv channel block (1 MB): a block spans as
 # many whole channels as keep its registers (channels x filters x
 # windows) and its window rows (channels x taps x windows) each within
-# it, so on a small plane one scatter per tap covers many channels. A
-# block holds at least one channel, whose window rows may exceed it
+# it, so on a small plane one scatter per tap covers many channels.
+# Where that leaves one channel per block, run_conv goes channel by channel
 _BLOCK_FLOATS = 1 << 18
 
-# float32 registers per run_conv pixel tile (4 MB): a channel whose
-# registers (filters x windows) exceed it runs in the fewest equal pixel
-# tiles within it, give or take one register per filter. Measured on
-# 64-filter stacks: this leaves VGG16 CONV2-1 (112x112 windows) whole and
-# cuts CONV1-1 into four tiles; a 1 MB bound made CONV2-1 slower, with
-# four times as many shorter gathers and scatters per tap
+# float32 registers per pixel tile of run_conv's one-channel path (4
+# MB): a channel whose full register file (filters x windows) exceeds
+# it runs in the fewest equal pixel tiles within it, give or take one
+# register per filter. In 64-filter stacks that leaves VGG16 CONV2-1
+# whole and cuts CONV1-x into four tiles. Against 1 MB (engine alone,
+# medians of 6 rounds), CONV1-2 took 244 vs 285 ms at d0.1, 1879 vs
+# 1241 ms at d0.5
 _REGISTER_FLOATS = 1 << 20
 
 
@@ -118,10 +119,10 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
 
     Vectorized over blocks of whole channels, one gather, multiply and
     scatter per kernel tap and block, or on a large plane channel by
-    channel with registers only for filters of two or more products (see
-    the module docstring), preserving each output element's scalar
-    accumulation sequence. Multiplies only the stream's nonzero weights:
-    nnz x windows MACs.
+    channel, in pixel tiles, with registers only for filters of two or
+    more products (see the module docstring), preserving each output
+    element's scalar accumulation sequence. Multiplies only the stream's
+    nonzero weights: nnz x windows MACs.
     """
     if layer.kind != "conv" or stream.profile != "conv":
         raise ValueError("run_conv needs a conv layer and a conv stream")
@@ -138,29 +139,24 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     taps, windows = layer.kernel ** 2, out_h * out_w
     block = min(channels,
                 max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
-    # the fewest equal pixel tiles that keep one channel's registers
-    # within _REGISTER_FLOATS
-    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
-    tile = -(-windows // tiles)
     out = np.zeros((filters, windows), np.float32)
     if block == 1:
-        _run_channels(stream, padded, layer, tile, out)
+        _run_channels(stream, padded, layer, out)
     else:
-        _run_blocks(stream, padded, layer, block, tile, out)
+        _run_blocks(stream, padded, layer, block, out)
     return out.reshape(filters, out_h, out_w), stack_trace(
         stream.total_nnz, stream.position_count, channels, windows)
 
 
 def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
-                block: int, tile: int, out: np.ndarray) -> None:
+                block: int, out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, `block` channels at a time.
 
-    `out` is (filters, windows), walked in pixel tiles of `tile`: one
-    gather, multiply and scatter per tap, block and tile.
+    `out` is (filters, windows): one gather, multiply and scatter per tap
+    and block.
     """
     out_w, out_h = output_shape(layer)
-    k, stride, channels, filters = (layer.kernel, layer.stride,
-                                    layer.channels, stream.filters)
+    k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
     # regroup the entries tap-major, (tap, channel, filter): stream order
     # is channel-major, so each position's run of entries moves whole.
@@ -173,39 +169,32 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     register = chan * filters + stream.indices[order]
     weight = stream.weights[order, None]
     window_rows = np.empty((taps, block, out_h, out_w), np.float32)
-    # flat, so a short last tile's registers are still one contiguous
-    # (channel, filter) x pixels array
-    partial = np.empty(block * filters * tile, np.float32)
+    register_file = np.empty((block * filters, windows), np.float32)
     for c0 in range(0, channels, block):
         c1 = min(channels, c0 + block)
         rows = window_rows[:, :c1 - c0]
-        for r in range(k):
-            for col in range(k):
-                rows[r * k + col] = _window_plane(
-                    padded, slice(c0, c1), r, col, out_h, out_w, stride)
+        _copy_windows(padded, slice(c0, c1), layer, rows)
         rows = rows.reshape(taps, c1 - c0, windows)
-        for p0 in range(0, windows, tile):
-            p1 = min(windows, p0 + tile)
-            registers = partial[:(c1 - c0) * filters * (p1 - p0)].reshape(
-                (c1 - c0) * filters, p1 - p0)
-            # start from +0.0 like a zeroed register file
-            registers.fill(0.0)
-            for t in range(taps):
-                lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
-                if hi > lo:
-                    product = rows[t, :, p0:p1][chan[lo:hi] - c0]
-                    product *= weight[lo:hi]
-                    # each (channel, filter) register appears once per tap
-                    registers[register[lo:hi] - c0 * filters] += product
-            for chan_registers in registers.reshape(c1 - c0, filters, p1 - p0):
-                out[:, p0:p1] += chan_registers
+        registers = register_file[:(c1 - c0) * filters]
+        # start from +0.0 like a zeroed register file
+        registers.fill(0.0)
+        for t in range(taps):
+            lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
+            if hi > lo:
+                product = rows[t][chan[lo:hi] - c0]
+                product *= weight[lo:hi]
+                # each (channel, filter) register appears once per tap
+                registers[register[lo:hi] - c0 * filters] += product
+        for chan_registers in registers.reshape(c1 - c0, filters, windows):
+            out += chan_registers
 
 
 def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
-                  tile: int, out: np.ndarray) -> None:
+                  out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, one channel at a time.
 
-    `out` is (filters, windows), walked in pixel tiles of `tile`. Each
+    `out` is (filters, windows), walked in the fewest equal pixel tiles
+    that keep a full register file within `_REGISTER_FLOATS`. Each
     product is a weight column times one broadcast window row; registers
     go only to filters with two or more products in the channel (see the
     module docstring).
@@ -213,6 +202,8 @@ def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
+    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
+    tile = -(-windows // tiles)
     # classify every entry at once: its position (channel * taps + tap),
     # and how many products its (channel, filter) pair takes
     position = np.repeat(np.arange(stream.position_count), stream.counts)
@@ -241,10 +232,7 @@ def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
         if stream.offsets[first] == stream.offsets[last]:
             continue
         flush = np.flatnonzero(summed[c])
-        for r in range(k):
-            for col in range(k):
-                window_rows[r * k + col] = _window_plane(
-                    padded, c, r, col, out_h, out_w, layer.stride)
+        _copy_windows(padded, c, layer, window_rows)
         for p0 in range(0, windows, tile):
             p1 = min(windows, p0 + tile)
             registers = partial[:len(flush) * (p1 - p0)].reshape(

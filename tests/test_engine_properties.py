@@ -11,10 +11,10 @@ hold them.
 - `run_conv` with its channel-block budget and its pixel-tile register
   bound each patched to 1 to 300 floats == oracle, with the unpatched
   run's counters, so blocks split mid-layer, some hold no entries, and
-  pixel tiles end mid-row or run short: 1 to 6 channels, planes of 1 to
-  10, kernel 1 to 3, stride 1 to 2, pad 0 to 1, 1 to 9 filters; pinned
-  examples add a tile ending mid-row, a short last tile, and stride 2
-  with pad 1;
+  in one-channel blocks pixel tiles end mid-row or run short: 1 to 6
+  channels, planes of 1 to 10, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
+  1 to 9 filters; pinned one-channel examples add a tile ending mid-row,
+  a short last tile, and stride 2 with pad 1;
 - the scalar reference `EngineContext.run` (`tests/scalar_engine.py`)
   == `run_conv`, output bytes and counters: 1 to 3
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
@@ -22,9 +22,9 @@ hold them.
 - `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
   `run_layer_batched`'s counters, within the first property's bounds;
 - pinned: one-channel blocks, which give registers only to filters with
-  two or more products in a channel, and multi-channel blocks, at d0.1
-  and d0.7 with pixel tiles ending mid-row, == oracle and scalar
-  reference; a lone product of -0.0 leaves no -0.0 in the output.
+  two or more products in a channel and here cut pixel tiles ending
+  mid-row, and multi-channel blocks, at d0.1 and d0.7, == oracle and
+  scalar reference; a lone product of -0.0 leaves no -0.0 in the output.
 """
 
 import math
@@ -121,8 +121,8 @@ def _run_conv_patched(layer, bank, features, block, registers):
 @given(conv_cases(channels=6, side=10, kernel=3, stride=2, pad=1, filters=9),
        st.integers(1, 300), st.integers(1, 300))
 def test_split_channel_blocks_equal_oracle_bytewise(case, block, registers):
-    # both budgets patched: blocks split mid-layer and pixel tiles cut
-    # channels
+    # both budgets patched: blocks split mid-layer, and pixel tiles cut
+    # the channels of one-channel blocks
     _run_conv_patched(*case, block, registers)
 
 
@@ -138,9 +138,10 @@ def test_split_channel_blocks_equal_oracle_bytewise(case, block, registers):
     # 100 registers over 30: tiles of 7, 7, 7 and 4
     (LayerSpec("stride-2-pad-1", "conv", 3, 9, 9, 3, 2, 1, 4), 30),
 ], ids=lambda v: getattr(v, "name", str(v)))
-@pytest.mark.parametrize("block", [1, 1 << 18])
+@pytest.mark.parametrize("block", [1])
 def test_pixel_tiles_equal_oracle_bytewise(layer, registers, block):
-    # block 1 puts one channel in each block, as on a large plane
+    # block 1 puts one channel in each block, as on a large plane: the
+    # only path that cuts pixel tiles
     bank = random_sparse_filters(layer, 0.7, 5)
     features = np.random.default_rng(6).uniform(
         -2.0, 2.0, (layer.channels, layer.height, layer.width)
@@ -153,9 +154,9 @@ def test_pixel_tiles_equal_oracle_bytewise(layer, registers, block):
 def test_summed_filter_registers_equal_scalar_reference(density, block):
     # one-channel blocks give registers only to the filters with two or
     # more products in a channel: at d0.1 the channels hold filters with
-    # none, one and several, at d0.7 only filters with several. 24
-    # filters x 7x9 windows = 1512 registers over 500: tiles of 16, 16,
-    # 16 and 15 pixels, ending mid-row of the 9-wide output
+    # none, one and several, at d0.7 only filters with several. There
+    # 24 filters x 7x9 windows = 1512 registers over 500 give tiles of
+    # 16, 16, 16 and 15 pixels, ending mid-row of the 9-wide output
     layer = LayerSpec("sel", "conv", 3, 7, 9, 3, 1, 1, 24)
     bank = random_sparse_filters(layer, density, 31)
     products = np.count_nonzero(bank.reshape(24, 3, 9), axis=2)
