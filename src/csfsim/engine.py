@@ -13,35 +13,39 @@ literal instruction-level walk, one scalar multiply-accumulate at a
 time, is `EngineContext` in `tests/scalar_engine.py`: the tests' reference,
 which `run_conv` matches bit for bit.
 
-`run_conv` regroups a stream's entries tap-major, by (kernel tap,
-channel, filter), and walks the input in blocks of whole channels: as
-many as keep a block's registers and its window rows each within
-`_BLOCK_FLOATS`. Per block it copies each tap's window rows, zeroes one
-register row per (channel, filter) and then, tap by tap in kernel row
-then column order, gathers the window rows the tap's entries read,
-multiplies them by their weights and adds them into their registers in
-one scatter. Finally it flushes the registers into the output one
-channel at a time, in channel order. This is exact: registers of
-different channels never mix, a (channel, filter) register appears at
-most once per tap so the scatter adds each product once, and each
-output element still sees, per channel, +0.0 plus that channel's
-products in tap order, then one flush per channel. So a block's
-registers, and one tap's products, stay within `_BLOCK_FLOATS`.
+`run_conv` walks the input in blocks of whole channels: as many as keep
+a block's registers and its window rows each within `_BLOCK_FLOATS`.
+Rank j of a (channel, filter) register is its (j+1)-th product in tap
+order, kernel row then column. Within a block, registers sit in slots
+ordered by product count, descending, so the registers that take more
+than j products are always the first slots; a few passes over the whole
+stream give every entry its rank and slot. Per block, `run_conv` copies
+each tap's window rows and walks the ranks: rank j is one take of the
+window rows its entries read, one multiply by their weights and one add
+into that contiguous prefix of the registers, and rank 0 is written
+straight into its registers. Then, one channel at a time in channel
+order, a take puts the channel's registers back in filter order, a pair
+with no product reading one spare +0.0 row, and one add flushes them
+into the output. This is exact: registers of different channels never
+mix, each sees its channel's products in tap order, and each output
+element sees one flush per channel, in channel order. Against a zeroed
+register, one that starts from its first product p differs only when p
+is -0.0, and then only in the sign of a zero sum. Adding either zero to
+an output element gives the same bytes, because the output starts at
++0.0 and round-to-nearest addition gives -0.0 only from two -0.0
+operands, so it is never -0.0. So a block's registers, and one rank's
+products, stay within `_BLOCK_FLOATS`.
 
 When that rule gives one-channel blocks (a large plane), `run_conv`
-walks the channels in stream order instead, with no regroup: one
-channel's entries are already tap-major. Each product is a tap's weight
-column times its one window row, broadcast, not a gathered copy per
-entry. A filter with exactly one product p in the channel adds it
-straight into the output: its register would hold +0.0 + p, which
-differs from p only when p is -0.0, and adding either zero to an output
-element gives the same bytes, because the output starts at +0.0 and
-round-to-nearest addition gives -0.0 only from two -0.0 operands, so it
-is never -0.0. A filter with no product is skipped for the same reason.
-So only the filters with two or more products in a channel get
-registers, packed in filter order: zeroed, summed in tap order and
-flushed with one scatter. Each entry's product count comes from one
-pass over the whole stream. A channel whose full register file
+walks the channels in stream order instead: one channel's entries are
+already tap-major. Each product is a tap's weight column times its one
+window row, broadcast, not a gathered copy per entry. A filter with
+exactly one product in the channel adds it straight into the output,
+which gives the same bytes by the same argument, and a filter with no
+product is skipped. So only the filters with two or more products in a
+channel get registers, packed in filter order: zeroed, summed in tap
+order and flushed with one scatter. Each entry's product count comes
+from one pass over the whole stream. A channel whose full register file
 (filters x windows) would exceed `_REGISTER_FLOATS` runs in the fewest
 equal pixel tiles within it; a tile only decides which elements are
 computed together. So the registers, and one tap's products, stay
@@ -68,8 +72,9 @@ from .layers import LayerSpec, output_shape
 # float32 elements per run_conv channel block (1 MB): a block spans as
 # many whole channels as keep its registers (channels x filters x
 # windows) and its window rows (channels x taps x windows) each within
-# it, so on a small plane one scatter per tap covers many channels.
-# Where that leaves one channel per block, run_conv goes channel by channel
+# it, so on a small plane one take, multiply and add per product rank
+# covers many channels. Where that leaves one channel per block,
+# run_conv goes channel by channel
 _BLOCK_FLOATS = 1 << 18
 
 # float32 registers per pixel tile of run_conv's one-channel path (4
@@ -117,12 +122,12 @@ def stack_trace(nnz: int, positions: int, channels: int,
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
-    Vectorized over blocks of whole channels, one gather, multiply and
-    scatter per kernel tap and block, or on a large plane channel by
-    channel, in pixel tiles, with registers only for filters of two or
-    more products (see the module docstring), preserving each output
-    element's scalar accumulation sequence. Multiplies only the stream's
-    nonzero weights: nnz x windows MACs.
+    Vectorized over blocks of whole channels, one take, multiply and
+    contiguous add per product rank and block, or on a large plane
+    channel by channel, in pixel tiles, with registers only for filters
+    of two or more products (see the module docstring), preserving each
+    output element's scalar accumulation sequence. Multiplies only the
+    stream's nonzero weights: nnz x windows MACs.
     """
     if layer.kind != "conv" or stream.profile != "conv":
         raise ValueError("run_conv needs a conv layer and a conv stream")
@@ -152,41 +157,86 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
                 block: int, out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, `block` channels at a time.
 
-    `out` is (filters, windows): one gather, multiply and scatter per tap
-    and block.
+    `out` is (filters, windows). Registers sit in slots ordered by
+    product count, so rank j of every register is one take of window
+    rows, one multiply and one add into a contiguous prefix of the
+    registers (see the module docstring).
     """
     out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
-    # regroup the entries tap-major, (tap, channel, filter): stream order
-    # is channel-major, so each position's run of entries moves whole.
-    # Tap t's entries for channels c0:c1 are bounds[t*C + c0]:bounds[t*C + c1]
-    runs = stream.counts.reshape(channels, taps).T.ravel()
-    bounds = np.concatenate(([0], np.cumsum(runs, dtype=np.int64)))
-    starts = stream.offsets[:-1].reshape(channels, taps).T.ravel()
-    order = np.repeat(starts - bounds[:-1], runs) + np.arange(bounds[-1])
-    chan = np.repeat(np.tile(np.arange(channels), taps), runs)
-    register = chan * filters + stream.indices[order]
-    weight = stream.weights[order, None]
-    window_rows = np.empty((taps, block, out_h, out_w), np.float32)
-    register_file = np.empty((block * filters, windows), np.float32)
-    for c0 in range(0, channels, block):
+    blocks, pairs = -(-channels // block), block * filters
+    # each entry's position, channel * taps + tap, and its rank among its
+    # (channel, filter) pair's products in tap order: a running count
+    # over the (channel, tap, filter) cells, tap by tap
+    position = np.repeat(np.arange(stream.position_count), stream.counts)
+    cell = position * filters + stream.indices
+    seen = np.zeros((channels, taps, filters), np.min_scalar_type(taps))
+    seen.reshape(-1)[cell] = 1
+    for t in range(1, taps):
+        seen[:, t] += seen[:, t - 1]
+    rank = seen.reshape(-1)[cell]
+    held = seen[:, -1].reshape(-1)
+    # the set-up arrays go before the next ones come, to bound the peak
+    del cell, seen
+    # within each block, slots in descending product count, ties in
+    # (channel, filter) order: a stable sort by (block, taps - held). The
+    # block's pairs with more than j products hold its first above[b, j]
+    # slots, and its rank-j entries run from starts[b, j] in slot order
+    key = np.arange(held.size) // pairs * (taps + 1) + (taps - held)
+    slot = np.empty_like(key)
+    slot[np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))),
+                    kind="stable")] = np.arange(held.size) % pairs
+    # a running count of the pairs per (block, taps - held), read from
+    # held == taps down to held == 1
+    above = np.bincount(key, minlength=blocks * (taps + 1)).reshape(
+        blocks, taps + 1).cumsum(axis=1)[:, taps - 1::-1]
+    starts = (np.cumsum(above, axis=1) - above
+              + stream.offsets[:-1:block * taps, None])
+    sequence = starts.reshape(-1)[position // (block * taps) * taps
+                                  + rank - 1]
+    sequence += slot[position // taps * filters + stream.indices]
+    # a block's window rows are channel-major, so an entry reads the row
+    # of its position within its block
+    row = np.empty_like(position)
+    row[sequence] = position % (block * taps)
+    weight = np.empty((stream.total_nnz, 1), np.float32)
+    weight[sequence, 0] = stream.weights
+    # a pair with no product flushes row above[b, 0], kept +0.0
+    flush = np.where(held > 0, slot,
+                     np.repeat(above[:, 0], pairs)[:held.size])
+    del position, rank, key, slot, sequence
+    window_rows = np.empty((block, taps, out_h, out_w), np.float32)
+    rows = window_rows.reshape(-1, windows)
+    # one spare row past a block's registers, for the pairs with no product
+    register_file = np.empty((pairs + 1, windows), np.float32)
+    # rank 1 is the largest rank that adds into registers
+    products = np.empty((above[:, 1:].max(initial=0), windows), np.float32)
+    flushed = np.empty((filters, windows), np.float32)
+    for b, c0 in enumerate(range(0, channels, block)):
         c1 = min(channels, c0 + block)
-        rows = window_rows[:, :c1 - c0]
-        _copy_windows(padded, slice(c0, c1), layer, rows)
-        rows = rows.reshape(taps, c1 - c0, windows)
-        registers = register_file[:(c1 - c0) * filters]
-        # start from +0.0 like a zeroed register file
-        registers.fill(0.0)
-        for t in range(taps):
-            lo, hi = bounds[t * channels + c0], bounds[t * channels + c1]
-            if hi > lo:
-                product = rows[t][chan[lo:hi] - c0]
-                product *= weight[lo:hi]
-                # each (channel, filter) register appears once per tap
-                registers[register[lo:hi] - c0 * filters] += product
-        for chan_registers in registers.reshape(c1 - c0, filters, windows):
-            out += chan_registers
+        if not above[b, 0]:
+            continue
+        _copy_windows(padded, slice(c0, c1), layer,
+                      window_rows[:c1 - c0].swapaxes(0, 1))
+        for j, (start, n) in enumerate(zip(starts[b].tolist(),
+                                           above[b].tolist())):
+            if not n:
+                break
+            # rank 0 goes straight into its registers: +0.0 + p would
+            # differ from p only for p == -0.0 (see the module docstring)
+            target = products[:n] if j else register_file[:n]
+            # under the default mode="raise" numpy buffers `out`
+            np.take(rows, row[start:start + n], axis=0, out=target,
+                    mode="clip")
+            target *= weight[start:start + n]
+            if j:
+                register_file[:n] += target
+        register_file[above[b, 0]] = 0.0
+        chan_slots = flush[b * pairs:b * pairs + (c1 - c0) * filters]
+        for slots in chan_slots.reshape(c1 - c0, filters):
+            np.take(register_file, slots, axis=0, out=flushed, mode="clip")
+            out += flushed
 
 
 def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,

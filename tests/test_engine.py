@@ -129,10 +129,11 @@ class TestRunConv:
         assert np.array_equal(out, dense_conv(x, bank, layer))
 
     @pytest.mark.parametrize("kernel, empty_tap", [(5, 0), (11, 120)])
-    def test_tap_major_regroup_skips_empty_runs(self, kernel, empty_tap):
+    def test_block_ranks_skip_empty_positions(self, kernel, empty_tap):
         # the first and last channels hold no entries and one tap holds
-        # none in any channel, so the (tap, channel) runs run_conv moves
-        # include empty ones at both ends of the stream
+        # none in any channel, so the (channel, tap) positions run_conv
+        # ranks entries over include empty ones at both ends of the
+        # stream
         layer = LayerSpec("g", "conv", 4, kernel + 1, kernel, kernel, 1, 1, 5)
         bank = random_sparse_filters(layer, 0.6, kernel)
         bank[:, [0, -1]] = 0.0

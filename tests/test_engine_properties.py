@@ -24,7 +24,10 @@ hold them.
 - pinned: one-channel blocks, which give registers only to filters with
   two or more products in a channel and here cut pixel tiles ending
   mid-row, and multi-channel blocks, at d0.1 and d0.7, == oracle and
-  scalar reference; a lone product of -0.0 leaves no -0.0 in the output.
+  scalar reference; a lone product of -0.0 leaves no -0.0 in the output;
+  13x13 and 16x16 kernels over one window, whose registers take 169 and
+  256 products at d1.0, with an empty channel, an empty block or no
+  entry, == oracle and scalar reference.
 """
 
 import math
@@ -190,6 +193,41 @@ def test_lone_negative_zero_product(block):
     stepped = EngineContext(layer, _whole_stack(bank), features).run()
     assert actual.tobytes() == stepped.tobytes()
     assert not (np.signbit(actual) & (actual == 0)).any()
+
+
+@pytest.mark.parametrize("layer", [
+    # a kernel as large as the plane: one window, so every channel fits
+    # one block. At d1.0 a (channel, filter) register takes 169 products,
+    # more than int8 counts, or 256, more than uint8 counts
+    LayerSpec("k13", "conv", 4, 13, 13, 13, 1, 0, 8),
+    LayerSpec("k16", "conv", 4, 16, 16, 16, 1, 0, 4),
+], ids=lambda layer: layer.name)
+@pytest.mark.parametrize("density,empty", [
+    (1.0, []),
+    (1.0, [1]),
+    (1.0, [2, 3]),
+    (0.0, []),
+], ids=["d1.0", "empty-channel", "empty-block", "d0"])
+def test_wide_kernel_blocks_equal_oracle_and_scalar_reference(layer, density,
+                                                             empty):
+    # the shipped budget puts every channel in one block; two taps' worth
+    # of window rows gives two-channel blocks, the first holding channels
+    # 0 and 1 (so channel 1 empty) and the second channels 2 and 3
+    taps = layer.kernel ** 2
+    assert engine._BLOCK_FLOATS // max(layer.filters, taps) >= layer.channels
+    bank = random_sparse_filters(layer, density, 41)
+    bank[:, empty] = 0.0
+    assert np.count_nonzero(bank) == (
+        density * taps * layer.filters * (layer.channels - len(empty)))
+    features = np.random.default_rng(42).uniform(
+        -2.0, 2.0, (layer.channels, layer.height, layer.width)
+    ).astype(np.float32)
+    for block in (engine._BLOCK_FLOATS, 2 * taps):
+        _run_conv_patched(layer, bank, features, block,
+                          engine._REGISTER_FLOATS)
+    actual, _ = run_conv(_whole_stack(bank), features, layer)
+    stepped = EngineContext(layer, _whole_stack(bank), features).run()
+    assert actual.tobytes() == stepped.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -76,14 +76,27 @@ def test_run_conv_blocks_hold_one_block_of_registers():
     # VGG16 CONV5-1 as one 64-filter stack runs in 20-channel blocks:
     # one block's registers take 1 MiB, and registers for all 512
     # channels would take 24.5 MiB. With the padded input (0.5 MiB),
-    # the regrouped entries and one tap's products, scratch traced at
-    # 2.7 MiB at d0.1; the bound leaves 0.3 MiB of margin
+    # each entry's rank and slot and one rank's products, scratch traced
+    # at 2.5 MiB at d0.1; the bound leaves 0.5 MiB of margin
     layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
     stream = encode_csf(
         stack_filters(random_sparse_filters(layer, 0.1, 2), 0, 64), "conv")
     features = np.random.default_rng(1).random((512, 14, 14), np.float32)
     (out, _), peak = _traced_peak(run_conv, stream, features, layer)
     assert peak <= out.nbytes + 3 * 4 * engine._BLOCK_FLOATS
+
+
+def test_run_conv_block_set_up_stays_small_at_half_density():
+    # the same stack at d0.5 holds five times the entries: with the
+    # ranks and slots of all 147K entries, scratch traced at 5.7 MiB.
+    # A tap-major regroup of the entries, the earlier design, took 6.66
+    # MiB, and a set-up holding one more int64 array per entry 7.9 MiB
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    stream = encode_csf(
+        stack_filters(random_sparse_filters(layer, 0.5, 2), 0, 64), "conv")
+    features = np.random.default_rng(1).random((512, 14, 14), np.float32)
+    (out, _), peak = _traced_peak(run_conv, stream, features, layer)
+    assert peak <= out.nbytes + 7 * MB
 
 
 def test_decode_writes_the_bank_it_decoded(tmp_path):
