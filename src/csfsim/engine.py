@@ -15,42 +15,35 @@ which `run_conv` matches bit for bit.
 
 `run_conv` walks the input in blocks of whole channels: as many as keep
 a block's registers and its window rows each within `_BLOCK_FLOATS`.
-Rank j of a (channel, filter) register is its (j+1)-th product in tap
-order, kernel row then column. Within a block, registers sit in slots
-ordered by product count, descending, so the registers that take more
-than j products are always the first slots; a few passes over the whole
-stream give every entry its rank and slot. Per block, `run_conv` copies
-each tap's window rows and walks the ranks: rank j is one take of the
-window rows its entries read, one multiply by their weights and one add
-into that contiguous prefix of the registers, and rank 0 is written
-straight into its registers. Then, one channel at a time in channel
-order, a take puts the channel's registers back in filter order, a pair
-with no product reading one spare +0.0 row, and one add flushes them
-into the output. This is exact: registers of different channels never
-mix, each sees its channel's products in tap order, and each output
-element sees one flush per channel, in channel order. Against a zeroed
-register, one that starts from its first product p differs only when p
-is -0.0, and then only in the sign of a zero sum. Adding either zero to
-an output element gives the same bytes, because the output starts at
-+0.0 and round-to-nearest addition gives -0.0 only from two -0.0
-operands, so it is never -0.0. So a block's registers, and one rank's
-products, stay within `_BLOCK_FLOATS`.
-
-When that rule gives one-channel blocks (a large plane), `run_conv`
-walks the channels in stream order instead: one channel's entries are
-already tap-major. Each product is a tap's weight column times its one
-window row, broadcast, not a gathered copy per entry. A filter with
-exactly one product in the channel adds it straight into the output,
-which gives the same bytes by the same argument, and a filter with no
-product is skipped. So only the filters with two or more products in a
-channel get registers, packed in filter order: zeroed, summed in tap
-order and flushed with one scatter. Each entry's product count comes
-from one pass over the whole stream. A channel whose full register file
-(filters x windows) would exceed `_REGISTER_FLOATS` runs in the fewest
-equal pixel tiles within it; a tile only decides which elements are
-computed together. So the registers, and one tap's products, stay
-within `_REGISTER_FLOATS` give or take one per filter, whatever the
-plane; only one channel's window rows may exceed `_BLOCK_FLOATS`.
+Where that rule leaves one channel per block (a large plane), it walks
+the channel in the fewest tiles of whole output rows that keep its
+registers, one spare row included ((filters + 1) x tile pixels), and
+its window rows (taps x tile pixels) each within `_BLOCK_FLOATS`; an
+output row wider than that gives one-row tiles. Rank j of a (channel,
+filter) register is its (j+1)-th product in tap order, kernel row then
+column. Within a block, registers sit in slots ordered by product
+count, descending, so the registers that take more than j products are
+always the first slots; a few passes over the whole stream give every
+entry its rank and slot, once, whatever the tiles. Per tile and block,
+`run_conv` copies each tap's window rows and walks the ranks: rank j is
+one take of the window rows its entries read, one multiply by their
+weights and one add into that contiguous prefix of the registers, and
+rank 0 is written straight into its registers. Then, one channel at a
+time in channel order, a take puts the channel's registers back in
+filter order, a pair with no product reading the spare +0.0 row, and
+one add flushes them into the output. This is exact: registers of
+different channels never mix, each sees its channel's products in tap
+order, and each output element sees one flush per channel, in channel
+order. A tile only decides which output elements are computed
+together, so it leaves every element's float32 sequence, and so the
+bytes, as they are. Against a zeroed register, one that starts from
+its first product p differs only when p is -0.0, and then only in the
+sign of a zero sum. Adding either zero to an output element gives the
+same bytes, because the output starts at +0.0 and round-to-nearest
+addition gives -0.0 only from two -0.0 operands, so it is never -0.0.
+So registers, one rank's products and window rows stay within
+`_BLOCK_FLOATS`, give or take a block's spare row, unless one output row
+alone exceeds it.
 
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
@@ -69,22 +62,13 @@ from .codec import CsfStream, encode_csf, stack_filters
 from .dense import _copy_windows, _small_ufunc_buffer, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
-# float32 elements per run_conv channel block (1 MB): a block spans as
-# many whole channels as keep its registers (channels x filters x
-# windows) and its window rows (channels x taps x windows) each within
-# it, so on a small plane one take, multiply and add per product rank
-# covers many channels. Where that leaves one channel per block,
-# run_conv goes channel by channel
+# float32 elements per run_conv block (1 MB): a block spans as many
+# whole channels as keep its registers (channels x filters x windows)
+# and its window rows (channels x taps x windows) each within it, so on
+# a small plane one take, multiply and add per product rank covers many
+# channels. A one-channel block runs in tiles of whole output rows that
+# keep its registers ((filters + 1) x pixels) and window rows within it
 _BLOCK_FLOATS = 1 << 18
-
-# float32 registers per pixel tile of run_conv's one-channel path (4
-# MB): a channel whose full register file (filters x windows) exceeds
-# it runs in the fewest equal pixel tiles within it, give or take one
-# register per filter. In 64-filter stacks that leaves VGG16 CONV2-1
-# whole and cuts CONV1-x into four tiles. Against 1 MB (engine alone,
-# medians of 6 rounds), CONV1-2 took 244 vs 285 ms at d0.1, 1879 vs
-# 1241 ms at d0.5
-_REGISTER_FLOATS = 1 << 20
 
 
 @dataclass
@@ -122,12 +106,11 @@ def stack_trace(nnz: int, positions: int, channels: int,
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
-    Vectorized over blocks of whole channels, one take, multiply and
-    contiguous add per product rank and block, or on a large plane
-    channel by channel, in pixel tiles, with registers only for filters
-    of two or more products (see the module docstring), preserving each
-    output element's scalar accumulation sequence. Multiplies only the
-    stream's nonzero weights: nnz x windows MACs.
+    Vectorized over blocks of whole channels and tiles of whole output
+    rows, one take, multiply and contiguous add per product rank, block
+    and tile (see the module docstring), preserving each output
+    element's scalar accumulation sequence. Multiplies only the stream's
+    nonzero weights: nnz x windows MACs.
     """
     if layer.kind != "conv" or stream.profile != "conv":
         raise ValueError("run_conv needs a conv layer and a conv stream")
@@ -140,31 +123,33 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
         as_f32(features, (layer.channels, layer.height, layer.width)),
         layer.pad)
     out_w, out_h = output_shape(layer)
-    channels, filters = layer.channels, stream.filters
-    taps, windows = layer.kernel ** 2, out_h * out_w
-    block = min(channels,
-                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
-    out = np.zeros((filters, windows), np.float32)
-    if block == 1:
-        _run_channels(stream, padded, layer, out)
-    else:
-        _run_blocks(stream, padded, layer, block, out)
-    return out.reshape(filters, out_h, out_w), stack_trace(
-        stream.total_nnz, stream.position_count, channels, windows)
+    windows = out_h * out_w
+    out = np.zeros((stream.filters, windows), np.float32)
+    _run_blocks(stream, padded, layer, out)
+    return out.reshape(stream.filters, out_h, out_w), stack_trace(
+        stream.total_nnz, stream.position_count, layer.channels, windows)
 
 
 def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
-                block: int, out: np.ndarray) -> None:
-    """Add a conv stream's products into `out`, `block` channels at a time.
+                out: np.ndarray) -> None:
+    """Add a conv stream's products into `out`, tile by tile, block by block.
 
-    `out` is (filters, windows). Registers sit in slots ordered by
-    product count, so rank j of every register is one take of window
-    rows, one multiply and one add into a contiguous prefix of the
-    registers (see the module docstring).
+    `out` is (filters, windows). Blocks of whole channels, and tiles of
+    whole output rows where a block is one channel, keep within
+    `_BLOCK_FLOATS`. Registers sit in slots ordered by product count, so
+    rank j of every register is one take of window rows, one multiply
+    and one add into a contiguous prefix of the registers (see the
+    module docstring).
     """
     out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
+    block = min(channels,
+                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
+    # a one-channel block runs in tiles of whole output rows whose
+    # registers, the spare row included, and window rows fit the budget
+    rows = out_h if block > 1 else min(out_h, max(
+        1, _BLOCK_FLOATS // (max(filters + 1, taps) * out_w)))
     blocks, pairs = -(-channels // block), block * filters
     # each entry's position, channel * taps + tap, and its rank among its
     # (channel, filter) pair's products in tap order: a running count
@@ -206,99 +191,54 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     flush = np.where(held > 0, slot,
                      np.repeat(above[:, 0], pairs)[:held.size])
     del position, rank, key, slot, sequence
-    window_rows = np.empty((block, taps, out_h, out_w), np.float32)
-    rows = window_rows.reshape(-1, windows)
-    # one spare row past a block's registers, for the pairs with no product
-    register_file = np.empty((pairs + 1, windows), np.float32)
-    # rank 1 is the largest rank that adds into registers
-    products = np.empty((above[:, 1:].max(initial=0), windows), np.float32)
-    flushed = np.empty((filters, windows), np.float32)
-    for b, c0 in enumerate(range(0, channels, block)):
-        c1 = min(channels, c0 + block)
-        if not above[b, 0]:
-            continue
-        _copy_windows(padded, slice(c0, c1), layer,
-                      window_rows[:c1 - c0].swapaxes(0, 1))
-        for j, (start, n) in enumerate(zip(starts[b].tolist(),
-                                           above[b].tolist())):
-            if not n:
-                break
-            # rank 0 goes straight into its registers: +0.0 + p would
-            # differ from p only for p == -0.0 (see the module docstring)
-            target = products[:n] if j else register_file[:n]
-            # under the default mode="raise" numpy buffers `out`
-            np.take(rows, row[start:start + n], axis=0, out=target,
-                    mode="clip")
-            target *= weight[start:start + n]
-            if j:
-                register_file[:n] += target
-        register_file[above[b, 0]] = 0.0
-        chan_slots = flush[b * pairs:b * pairs + (c1 - c0) * filters]
-        for slots in chan_slots.reshape(c1 - c0, filters):
-            np.take(register_file, slots, axis=0, out=flushed, mode="clip")
-            out += flushed
-
-
-def _run_channels(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
-                  out: np.ndarray) -> None:
-    """Add a conv stream's products into `out`, one channel at a time.
-
-    `out` is (filters, windows), walked in the fewest equal pixel tiles
-    that keep a full register file within `_REGISTER_FLOATS`. Each
-    product is a weight column times one broadcast window row; registers
-    go only to filters with two or more products in the channel (see the
-    module docstring).
-    """
-    out_w, out_h = output_shape(layer)
-    k, channels, filters = layer.kernel, layer.channels, stream.filters
-    taps, windows = k * k, out_h * out_w
-    tiles = max(1, -(-filters * windows // _REGISTER_FLOATS))
-    tile = -(-windows // tiles)
-    # classify every entry at once: its position (channel * taps + tap),
-    # and how many products its (channel, filter) pair takes
-    position = np.repeat(np.arange(stream.position_count), stream.counts)
-    chan = position // taps
-    pair = chan * filters + stream.indices
-    products = np.bincount(pair, minlength=channels * filters)
-    lone = products[pair] == 1
-    summed = (products >= 2).reshape(channels, filters)
-    # a summed entry adds into register register_of[e]: its filter's rank
-    # among the channel's summed filters
-    register_of = (np.cumsum(summed, axis=1).ravel() - 1)[pair[~lone]]
-    weight = stream.weights[~lone, None]
-    lone_filter = stream.indices[lone]
-    lone_weight = stream.weights[lone, None]
-    # position p's summed entries are bounds[p]:bounds[p + 1], its lone
-    # entries lone_bounds[p]:lone_bounds[p + 1]
-    bounds, lone_bounds = (
-        np.concatenate(([0], np.cumsum(np.bincount(
-            position[chosen], minlength=stream.position_count)))).tolist()
-        for chosen in (~lone, lone))
-    window_rows = np.empty((taps, out_h, out_w), np.float32)
-    rows = window_rows.reshape(taps, windows)
-    partial = np.empty(filters * tile, np.float32)
-    for c in range(channels):
-        first, last = c * taps, (c + 1) * taps
-        if stream.offsets[first] == stream.offsets[last]:
-            continue
-        flush = np.flatnonzero(summed[c])
-        _copy_windows(padded, c, layer, window_rows)
-        for p0 in range(0, windows, tile):
-            p1 = min(windows, p0 + tile)
-            registers = partial[:len(flush) * (p1 - p0)].reshape(
-                len(flush), p1 - p0)
-            # start from +0.0 like a zeroed register file
-            registers.fill(0.0)
-            for t in range(taps):
-                lo, hi = bounds[first + t], bounds[first + t + 1]
-                if hi > lo:
-                    registers[register_of[lo:hi]] += (weight[lo:hi]
-                                                      * rows[t, p0:p1])
-                lo, hi = lone_bounds[first + t], lone_bounds[first + t + 1]
-                if hi > lo:
-                    out[lone_filter[lo:hi], p0:p1] += (lone_weight[lo:hi]
-                                                       * rows[t, p0:p1])
-            out[flush, p0:p1] += registers
+    # flat scratch for the largest tile, reshaped per tile so that every
+    # take writes a contiguous array: the window rows, the registers with
+    # one spare row for the pairs with no product, one rank's products
+    # (rank 1 is the largest that adds into registers) and one flush
+    tile = rows * out_w
+    window_rows = np.empty(block * taps * tile, np.float32)
+    register_file = np.empty((pairs + 1) * tile, np.float32)
+    products = np.empty(above[:, 1:].max(initial=0) * tile, np.float32)
+    flushed = np.empty(filters * tile, np.float32)
+    # each block with entries: its channels, the (start, count) of each
+    # rank that has entries, and its pairs' flush slots channel by channel
+    plan = [(c0, min(channels, c0 + block),
+             [(start, n) for start, n in zip(starts[b].tolist(),
+                                             above[b].tolist()) if n],
+             flush[b * pairs:(b + 1) * pairs].reshape(-1, filters))
+            for b, c0 in enumerate(range(0, channels, block)) if above[b, 0]]
+    # tiles outermost, so one tile of the output takes every flush in turn
+    for y0 in range(0, out_h, rows):
+        y1 = min(out_h, y0 + rows)
+        pixels = (y1 - y0) * out_w
+        tile_windows = window_rows[:block * taps * pixels].reshape(
+            block, taps, y1 - y0, out_w)
+        tile_rows = tile_windows.reshape(-1, pixels)
+        registers = register_file[:(pairs + 1) * pixels].reshape(
+            pairs + 1, pixels)
+        tile_flush = flushed[:filters * pixels].reshape(filters, pixels)
+        tile_out = out[:, y0 * out_w:y1 * out_w]
+        for c0, c1, ranks, chan_slots in plan:
+            _copy_windows(padded[:, y0 * layer.stride:], slice(c0, c1),
+                          layer, tile_windows[:c1 - c0].swapaxes(0, 1))
+            for j, (start, n) in enumerate(ranks):
+                # rank 0 goes straight into its registers: +0.0 + p would
+                # differ from p only for p == -0.0 (see the module
+                # docstring)
+                target = (products[:n * pixels].reshape(n, pixels) if j
+                          else registers[:n])
+                # under the default mode="raise" numpy buffers `out`
+                np.take(tile_rows, row[start:start + n], axis=0,
+                        out=target, mode="clip")
+                target *= weight[start:start + n]
+                if j:
+                    registers[:n] += target
+            # the spare row past the rank-0 registers
+            registers[ranks[0][1]] = 0.0
+            for slots in chan_slots:
+                np.take(registers, slots, axis=0, out=tile_flush,
+                        mode="clip")
+                tile_out += tile_flush
 
 
 def run_fc(stream: CsfStream, features):

@@ -8,26 +8,27 @@ hold them.
 - batched engine == oracle: conv or fc, 1 to 4 channels, planes of 1 to
   12 rows and columns, kernel 1 to 5 (at most the padded plane), stride
   1 to 3, pad 0 to 2, 0 to 12 filters, batches of 1 to 12 filters;
-- `run_conv` with its channel-block budget and its pixel-tile register
-  bound each patched to 1 to 300 floats == oracle, with the unpatched
-  run's counters, so blocks split mid-layer, some hold no entries, and
-  in one-channel blocks pixel tiles end mid-row or run short: 1 to 6
+- `run_conv` with its one budget, `_BLOCK_FLOATS`, patched to 1 to 300
+  floats == oracle, with the unpatched run's counters, so blocks split
+  mid-layer, some hold no entries, and one-channel blocks run in tiles
+  of whole output rows, one row each or with a short last tile: 1 to 6
   channels, planes of 1 to 10, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
-  1 to 9 filters; pinned one-channel examples add a tile ending mid-row,
-  a short last tile, and stride 2 with pad 1;
+  1 to 9 filters; pinned one-channel examples add a short last tile,
+  stride 2 with pad 1, and one-row tiles where a single output row's
+  registers exceed the budget, each with its tile rows checked;
 - the scalar reference `EngineContext.run` (`tests/scalar_engine.py`)
   == `run_conv`, output bytes and counters: 1 to 3
   channels, planes of 1 to 6, kernel 1 to 3, stride 1 to 2, pad 0 to 1,
   1 to 6 filters;
 - `stack_trace` summed over the stacks, from the bank's nonzeros alone ==
   `run_layer_batched`'s counters, within the first property's bounds;
-- pinned: one-channel blocks, which give registers only to filters with
-  two or more products in a channel and here cut pixel tiles ending
-  mid-row, and multi-channel blocks, at d0.1 and d0.7, == oracle and
-  scalar reference; a lone product of -0.0 leaves no -0.0 in the output;
-  13x13 and 16x16 kernels over one window, whose registers take 169 and
-  256 products at d1.0, with an empty channel, an empty block or no
-  entry, == oracle and scalar reference.
+- pinned: one-channel blocks in row tiles with a short last tile, and
+  multi-channel blocks, at d0.1 (filters with no, one and several
+  products in a channel) and d0.7, == oracle and scalar reference; a
+  lone product of -0.0, a rank-0 register holding -0.0, leaves no -0.0
+  in the output; 13x13 and 16x16 kernels over one window, whose
+  registers take 169 and 256 products at d1.0, with an empty channel,
+  an empty block or no entry, == oracle and scalar reference.
 """
 
 import math
@@ -108,58 +109,68 @@ def test_batched_engine_equals_oracle_bytewise(case):
     assert actual.tobytes() == expected.tobytes()
 
 
-def _run_conv_patched(layer, bank, features, block, registers):
-    """run_conv's output and counters under patched budgets, checked
-    against the oracle and the unpatched run's counters."""
+def _run_conv_patched(layer, bank, features, block):
+    """run_conv's output under a patched budget, checked against the
+    oracle and the unpatched run's counters."""
     stream = _whole_stack(bank)
     _, expected_counters = run_conv(stream, features, layer)
-    with mock.patch.multiple(engine, _BLOCK_FLOATS=block,
-                             _REGISTER_FLOATS=registers):
+    with mock.patch.object(engine, "_BLOCK_FLOATS", block):
         actual, counters = run_conv(stream, features, layer)
     assert actual.tobytes() == dense_conv(features, bank, layer).tobytes()
     assert vars(counters) == vars(expected_counters)
+    return actual
 
 
 @settings(max_examples=150, deadline=None)
 @given(conv_cases(channels=6, side=10, kernel=3, stride=2, pad=1, filters=9),
-       st.integers(1, 300), st.integers(1, 300))
-def test_split_channel_blocks_equal_oracle_bytewise(case, block, registers):
-    # both budgets patched: blocks split mid-layer, and pixel tiles cut
-    # the channels of one-channel blocks
-    _run_conv_patched(*case, block, registers)
+       st.integers(1, 300))
+def test_split_channel_blocks_equal_oracle_bytewise(case, block):
+    # the patched budget splits blocks mid-layer, and cuts the channels
+    # of one-channel blocks into tiles of whole output rows
+    _run_conv_patched(*case, block)
 
 
-# tiles are ceil(windows / ceil(filters * windows / registers)) pixels
-@pytest.mark.parametrize("layer,registers", [
-    # 2 filters x 5x7 windows = 70 registers over 35: tiles of 18 and 17
-    # pixels, the second starting mid-row, at row 2, column 4
-    (LayerSpec("mid-row", "conv", 2, 5, 7, 3, 1, 1, 2), 35),
-    # 3 filters x 5x5 windows = 75 registers over 20: tiles of 7, 7, 7
-    # and a short last one of 4
-    (LayerSpec("short-last", "conv", 2, 5, 5, 3, 1, 1, 3), 20),
-    # stride 2, pad 1: 9x9 plane, 5x5 windows; 4 filters x 25 windows =
-    # 100 registers over 30: tiles of 7, 7, 7 and 4
-    (LayerSpec("stride-2-pad-1", "conv", 3, 9, 9, 3, 2, 1, 4), 30),
-], ids=lambda v: getattr(v, "name", str(v)))
-@pytest.mark.parametrize("block", [1])
-def test_pixel_tiles_equal_oracle_bytewise(layer, registers, block):
-    # block 1 puts one channel in each block, as on a large plane: the
-    # only path that cuts pixel tiles
+# a one-channel block runs in tiles of budget // (max(filters + 1, taps)
+# x out_w) output rows, at least one
+@pytest.mark.parametrize("layer,budget,tiles", [
+    # 3 filters, 9 taps, 5x5 output: 45 floats per row; 90 gives tiles
+    # of 2, 2 and a short last one of 1 row
+    pytest.param(LayerSpec("short-last", "conv", 2, 5, 5, 3, 1, 1, 3), 90,
+                 [2, 2, 1], id="short-last"),
+    # stride 2, pad 1: 9x9 plane, 5x5 output; 4 filters, 9 taps, 45
+    # floats per row; 135 gives tiles of 3 and 2 rows, the second
+    # reading the padded plane from row 6
+    pytest.param(LayerSpec("stride-2-pad-1", "conv", 3, 9, 9, 3, 2, 1, 4),
+                 135, [3, 2], id="stride-2-pad-1"),
+    # 12 filters over an 8-wide output: one row's registers, 13 x 8 =
+    # 104 floats, exceed the budget of 60, so every tile is one row
+    pytest.param(LayerSpec("one-row", "conv", 2, 6, 8, 3, 1, 1, 12), 60,
+                 [1] * 6, id="one-row"),
+])
+def test_pixel_tiles_equal_oracle_bytewise(layer, budget, tiles):
     bank = random_sparse_filters(layer, 0.7, 5)
     features = np.random.default_rng(6).uniform(
         -2.0, 2.0, (layer.channels, layer.height, layer.width)
     ).astype(np.float32)
-    _run_conv_patched(layer, bank, features, block, registers)
+    _run_conv_patched(layer, bank, features, budget)
+    # one window copy per tile and channel, tile by tile
+    with mock.patch.object(engine, "_BLOCK_FLOATS", budget), \
+            mock.patch.object(engine, "_copy_windows",
+                              wraps=engine._copy_windows) as copy:
+        run_conv(_whole_stack(bank), features, layer)
+    tile_rows = [call.args[3].shape[-2] for call in copy.call_args_list]
+    assert tile_rows == [n for n in tiles for _ in range(layer.channels)]
 
 
 @pytest.mark.parametrize("density", [0.1, 0.7], ids=["d0.1", "d0.7"])
-@pytest.mark.parametrize("block", [1, 1 << 18], ids=["one-channel", "blocks"])
+@pytest.mark.parametrize("block", [500, 1 << 18],
+                         ids=["one-channel", "blocks"])
 def test_summed_filter_registers_equal_scalar_reference(density, block):
-    # one-channel blocks give registers only to the filters with two or
-    # more products in a channel: at d0.1 the channels hold filters with
-    # none, one and several, at d0.7 only filters with several. There
-    # 24 filters x 7x9 windows = 1512 registers over 500 give tiles of
-    # 16, 16, 16 and 15 pixels, ending mid-row of the 9-wide output
+    # at d0.1 the channels hold filters with no product, whose registers
+    # flush the spare +0.0 row, with one, held at rank 0, and with
+    # several; at d0.7 only filters with several. A budget of 500 gives
+    # one-channel blocks: 24 filters x 7x9 windows exceed it, and tiles
+    # of 500 // (25 x 9) = 2 output rows, the last one short
     layer = LayerSpec("sel", "conv", 3, 7, 9, 3, 1, 1, 24)
     bank = random_sparse_filters(layer, density, 31)
     products = np.count_nonzero(bank.reshape(24, 3, 9), axis=2)
@@ -167,10 +178,7 @@ def test_summed_filter_registers_equal_scalar_reference(density, block):
     assert kinds == ({0, 1, 2} if density < 0.5 else {2})
     features = np.random.default_rng(32).uniform(
         -2.0, 2.0, (3, 7, 9)).astype(np.float32)
-    _run_conv_patched(layer, bank, features, block, 500)
-    with mock.patch.multiple(engine, _BLOCK_FLOATS=block,
-                             _REGISTER_FLOATS=500):
-        actual, _ = run_conv(_whole_stack(bank), features, layer)
+    actual = _run_conv_patched(layer, bank, features, block)
     stepped = EngineContext(layer, _whole_stack(bank), features).run()
     assert actual.tobytes() == stepped.tobytes()
 
@@ -179,17 +187,16 @@ def test_summed_filter_registers_equal_scalar_reference(density, block):
 def test_lone_negative_zero_product(block):
     # filter 0 takes one product per channel, a positive weight on input
     # samples that are -0.0 in channel 1 and in half of channel 0; filter
-    # 1 takes two, filters 2 and 3 none. A lone product goes straight
-    # into the output, which must stay free of -0.0
+    # 1 takes two, filters 2 and 3 none. A lone product is its rank-0
+    # register, -0.0 where its sample is, and its flush must leave the
+    # output free of -0.0
     layer = LayerSpec("nz1", "conv", 2, 6, 6, 3, 1, 1, 4)
     bank = np.zeros((4, 2, 3, 3), np.float32)
     bank[0, :, 1, 1] = 0.5
     bank[1, :, 0, 0] = bank[1, :, 2, 2] = -1.5
     features = np.full((2, 6, 6), -0.0, np.float32)
     features[0, :3] = np.random.default_rng(33).uniform(-2.0, 2.0, (3, 6))
-    _run_conv_patched(layer, bank, features, block, 1 << 20)
-    with mock.patch.object(engine, "_BLOCK_FLOATS", block):
-        actual, _ = run_conv(_whole_stack(bank), features, layer)
+    actual = _run_conv_patched(layer, bank, features, block)
     stepped = EngineContext(layer, _whole_stack(bank), features).run()
     assert actual.tobytes() == stepped.tobytes()
     assert not (np.signbit(actual) & (actual == 0)).any()
@@ -223,8 +230,7 @@ def test_wide_kernel_blocks_equal_oracle_and_scalar_reference(layer, density,
         -2.0, 2.0, (layer.channels, layer.height, layer.width)
     ).astype(np.float32)
     for block in (engine._BLOCK_FLOATS, 2 * taps):
-        _run_conv_patched(layer, bank, features, block,
-                          engine._REGISTER_FLOATS)
+        _run_conv_patched(layer, bank, features, block)
     actual, _ = run_conv(_whole_stack(bank), features, layer)
     stepped = EngineContext(layer, _whole_stack(bank), features).run()
     assert actual.tobytes() == stepped.tobytes()

@@ -59,17 +59,34 @@ def test_dense_conv_scratch_stays_near_the_output():
     assert peak <= out.nbytes + 4 * MB
 
 
-def test_run_conv_tiles_a_large_channel():
-    # VGG16 CONV1-1 as one 64-filter stack: a 12.25 MiB output, and one
-    # channel's registers would take as much again. Scratch stays within
-    # one tile's registers plus as much again for the window rows, the
-    # padded input and one tap's products
+def _run_conv_conv1_1_peak(density):
+    """VGG16 CONV1-1 as one 64-filter stack: its output and the peak."""
     layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
     stream = encode_csf(
-        stack_filters(random_sparse_filters(layer, 0.1, 2), 0, 64), "conv")
+        stack_filters(random_sparse_filters(layer, density, 2), 0, 64),
+        "conv")
     features = np.random.default_rng(1).random((3, 224, 224), np.float32)
     (out, _), peak = _traced_peak(run_conv, stream, features, layer)
-    assert peak <= out.nbytes + 2 * 4 * engine._REGISTER_FLOATS
+    return out, peak
+
+
+def test_run_conv_tiles_a_large_channel():
+    # VGG16 CONV1-1 as one 64-filter stack: a 12.25 MiB output, and one
+    # channel's registers would take as much again. It runs in tiles of
+    # 18 output rows: one tile's registers and one channel's flush take
+    # a budget (4 x _BLOCK_FLOATS bytes, 1 MiB) each, and with the padded
+    # input (0.6 MiB) and the window rows scratch traced at 3.0 MiB at
+    # d0.1. Channel by channel with 4 MiB register tiles it took 6.25 MiB
+    out, peak = _run_conv_conv1_1_peak(0.1)
+    assert peak <= out.nbytes + 3.25 * 4 * engine._BLOCK_FLOATS
+
+
+def test_run_conv_tiles_a_large_channel_at_half_density():
+    # the same stack at d0.5: one rank's products add up to a budget
+    # more, and scratch traced at 3.7 MiB. Channel by channel with 4 MiB
+    # register tiles it took 9.14 MiB
+    out, peak = _run_conv_conv1_1_peak(0.5)
+    assert peak <= out.nbytes + 4 * 4 * engine._BLOCK_FLOATS
 
 
 def test_run_conv_blocks_hold_one_block_of_registers():
