@@ -23,6 +23,10 @@ Byte layout (little endian throughout):
     16      4     kernel extent (1 for fc)
     20      4     position count
     24      ...   per position: u16 count, then count x (u16 rel, f32 weight)
+
+Every position's record is 2 + 6 x count bytes, so each count field sits
+at an even offset and the body is a run of little-endian u16 words: a
+count word, then three words per entry.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ import numpy as np
 
 MAGIC = b"CSF1"
 VERSION = 1
-HEADER_LEN = 24
+# magic, version, profile, dtype, filters, channels, kernel, position count
+_HEADER = struct.Struct("<4sHBBIIII")
+HEADER_LEN = _HEADER.size
 _PROFILES = {"fc": 0, "conv": 1}
 _PROFILE_NAMES = {code: name for name, code in _PROFILES.items()}
 # one packed (relative index, weight) pair as it sits in the byte form
@@ -54,14 +60,6 @@ def _u16_array(values, what: str) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() > 0xFFFF):
         raise CsfFormatError(f"{what} value outside the u16 field")
     return arr.astype(np.uint16)
-
-
-def _count_field_mask(offsets: np.ndarray) -> np.ndarray:
-    """Marks the bytes of each position's u16 count in the stream body."""
-    mask = np.zeros(2 * (offsets.size - 1) + 6 * int(offsets[-1]), bool)
-    starts = 2 * np.arange(offsets.size - 1) + 6 * offsets[:-1]
-    mask[starts] = mask[starts + 1] = True
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,55 +219,54 @@ def decode_csf(stream: CsfStream) -> np.ndarray:
 
 def serialize_csf(stream: CsfStream) -> bytes:
     """Pack a stream into its byte representation."""
-    is_count = _count_field_mask(stream.offsets)
-    # header and body share one buffer, so the bytes are copied out once
-    out = np.empty(HEADER_LEN + is_count.size, np.uint8)
-    struct.pack_into(
-        "<4sHBBIIII", out, 0, MAGIC, VERSION, _PROFILES[stream.profile],
-        1 if stream.quantized else 0, stream.filters, stream.channels,
-        stream.kernel, stream.position_count)
     entries = np.empty(stream.total_nnz, _ENTRY)
     entries["rel"] = stream.rel
     entries["weight"] = stream.weights
-    body = out[HEADER_LEN:]
-    body[is_count] = stream.counts.astype("<u2").view(np.uint8)
-    body[~is_count] = entries.view(np.uint8)
-    return out.tobytes()
+    # position p's count goes in front of its entries, at word 3 * offsets[p]
+    words = np.insert(entries.view("<u2"), 3 * stream.offsets[:-1],
+                      stream.counts)
+    header = _HEADER.pack(MAGIC, VERSION, _PROFILES[stream.profile],
+                          1 if stream.quantized else 0, stream.filters,
+                          stream.channels, stream.kernel, stream.position_count)
+    return b"".join((header, words))
 
 
 def deserialize_csf(data: bytes) -> CsfStream:
     """Parse stream bytes; raises CsfFormatError on any malformation."""
     if len(data) < HEADER_LEN:
         raise CsfFormatError(f"{len(data)} bytes is shorter than the header")
-    if data[:4] != MAGIC:
-        raise CsfFormatError(f"bad magic {data[:4]!r}")
-    version, profile_code, dtype_code = struct.unpack_from("<HBB", data, 4)
+    (magic, version, profile_code, dtype_code, filters, channels, kernel,
+     position_count) = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise CsfFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CsfFormatError(f"unsupported version {version}")
     if profile_code not in _PROFILE_NAMES:
         raise CsfFormatError(f"unknown profile code {profile_code}")
     if dtype_code not in (0, 1):
         raise CsfFormatError(f"unknown dtype code {dtype_code}")
-    filters, channels, kernel, position_count = struct.unpack_from("<IIII", data, 8)
-    # walk the count fields only, to find truncation and trailing bytes;
-    # the stream's constructor checks the rest, header shape included
-    counts = []
-    at = HEADER_LEN
+    words = np.frombuffer(data, "<u2", (len(data) - HEADER_LEN) // 2,
+                          HEADER_LEN)
+    # walk the count words only, to find truncation and trailing bytes; the
+    # stream's constructor checks the rest, header shape included. The
+    # host-order view yields Python ints, so 1 + 3 * count cannot wrap
+    count_words = memoryview(words.astype("=u2", copy=False))
+    starts = []
+    at = 0
     for p in range(position_count):
-        if at + 2 > len(data):
+        if at >= len(count_words):
             raise CsfFormatError(f"truncated at position {p} count field")
-        counts.append(data[at] | data[at + 1] << 8)
-        at += 2 + 6 * counts[-1]
-        if at > len(data):
+        starts.append(at)
+        at += 1 + 3 * count_words[at]
+        if at > len(count_words):
             raise CsfFormatError(f"truncated in position {p} entries")
-    if at != len(data):
-        raise CsfFormatError(f"{len(data) - at} trailing bytes after stream")
-    counts = np.array(counts, np.uint16)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    body = np.frombuffer(data, np.uint8, offset=HEADER_LEN)
-    entries = body[~_count_field_mask(offsets)].view(_ENTRY)
+    trailing = len(data) - HEADER_LEN - 2 * at
+    if trailing:
+        raise CsfFormatError(f"{trailing} trailing bytes after stream")
+    # past the walk, the words left once the counts go are whole entries
+    entries = np.delete(words, starts).view(_ENTRY)
     return CsfStream(_PROFILE_NAMES[profile_code], filters, channels, kernel,
-                     counts, entries["rel"], entries["weight"],
+                     words[starts], entries["rel"], entries["weight"],
                      quantized=dtype_code == 1)
 
 

@@ -32,9 +32,8 @@ at the default 8192, multiplying rows of a few hundred to 3000 floats by
 a weight column copies the column through the buffer, at 2-4x the cost.
 In `dense_conv` that is each tap's broadcast multiply; in `run_conv` it
 is the rank loop's in-place multiply of the taken window rows by their
-weight column, its only multiply (engine alone, 64-filter stacks,
-2-vCPU VM: VGG16 CONV1-2, CONV2-1 and CONV3-1 at d0.5 took 1314 ms at
-the default buffer against 1045 ms).
+weight column, its only multiply. Rows shorter than about 150 floats
+are the exception: there the default buffer is slightly faster.
 
 Skipping zero weights is exact, by one rule: a partial sum starts at
 +0.0 and round-to-nearest addition gives -0.0 only when both operands

@@ -255,6 +255,31 @@ class TestSerialization:
                 + struct.pack("<Hf", 3, 2.5))
         assert blob == want
 
+    def test_golden_multi_position_bytes(self):
+        # three positions with 2, 0 and 1 entries: every count word sits
+        # in front of its own entries, the empty position's included
+        stacked = np.zeros((3, 1, 1, 4), np.float32)
+        stacked[0, 0, 0, [1, 3]] = 0.5, -2.0
+        stacked[2, 0, 0, 2] = 4.0
+        stream = encode_csf(stacked, "conv")
+        want = (b"CSF1"
+                + struct.pack("<HBB", 1, 1, 0)
+                + struct.pack("<IIII", 4, 3, 1, 3)
+                + struct.pack("<H", 2)
+                + struct.pack("<Hf", 1, 0.5) + struct.pack("<Hf", 2, -2.0)
+                + struct.pack("<H", 0)
+                + struct.pack("<H", 1)
+                + struct.pack("<Hf", 2, 4.0))
+        assert serialize_csf(stream) == want
+        assert deserialize_csf(want) == stream
+        # position 2's count starts at byte 24 + 14 + 2
+        with pytest.raises(CsfFormatError,
+                           match="truncated at position 2 count field"):
+            deserialize_csf(want[:40])
+        with pytest.raises(CsfFormatError,
+                           match="truncated in position 2 entries"):
+            deserialize_csf(want[:45])
+
     def test_byte_length_formula(self):
         bank = _bank(m=8, c=3, k=3, density=0.4, seed=23)
         stream = encode_csf(stack_filters(bank, 0, 8), "conv")
