@@ -7,25 +7,34 @@ output element (the engine flushes its register file into the output buffer
 once per channel); FC keeps a single flat running sum per output, walking
 the input in stream order.
 
-`dense_conv` multiplies only the nonzero weights. Per channel it copies
-the k*k window planes into one contiguous scratch row each and lists the
-channel's nonzero weights tap-major: per kernel position in row then
-column order, the filters whose weight there is nonzero, ascending. It
+`dense_conv` skips a channel with no nonzero weight. Per other channel
+it copies the k*k window planes into one contiguous scratch row each and
 walks the output in tiles of every filter by up to `_PIXEL_BLOCK`
-pixels; each tile zeroes one partial sum per filter, adds one product
-row per listed (tap, filter) pair into that filter's partial, tap by
-tap, and adds the partials into the output once. A filter appears at
-most once per tap, so each product is added once. Tiling changes which
-elements are computed together, never the sequence of float32 additions
-any one output element sees.
+pixels, adding each tile's partial sums, one per filter, into the output
+once. How a tile makes its partial sums depends on the channel's share
+of nonzero weights:
+
+- a dense channel, with a share of at least `_DENSE_SHARE`, multiplies
+  every weight: tap 0's (filters, 1) weight column times its window row
+  is written as the partial sums, and each later tap's product is added
+  in with one contiguous add;
+- a listed channel multiplies only its nonzero weights, listed
+  tap-major: per kernel position in row then column order, the filters
+  whose weight there is nonzero, ascending. The tile zeroes its partial
+  sums and adds one product row per listed (tap, filter) pair into that
+  filter's partial, tap by tap. A filter appears at most once per tap,
+  so each product is added once.
+
+Tiling changes which elements are computed together, never the sequence
+of float32 additions any one output element sees.
 
 On a layer whose filters x output pixels reach `_COMPACT_FLOATS`, each
-channel keeps partial sums only for the filters with two or more
+listed channel keeps partial sums only for the filters with two or more
 products in it, packed in filter order and flushed into their output
 rows with one scatter. A filter with a single product adds it straight
 into the output in its tap's turn, and a filter with none is left
-alone. On a smaller layer every channel keeps one partial sum per
-filter and its contiguous flush.
+alone. On a smaller layer every listed channel keeps one partial sum
+per filter and its contiguous flush.
 
 `dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
 at the default 8192, multiplying rows of a few hundred to 3000 floats by
@@ -44,8 +53,12 @@ keeps the output, which starts at +0.0, free of -0.0, so a channel with
 no nonzero weight is skipped before its window planes are copied, and a
 single product p may go straight into the output: its partial would be
 +0.0 + p, which differs from p only when p is -0.0, and adding either
-zero to the output gives the same bytes. The bytes are those of the
-whole-plane loop over every weight.
+zero to the output gives the same bytes. By the same rule a dense
+channel's partials may start at tap 0's products instead of +0.0 and
+add the zero weights' products too: at every step such a partial equals
+the partial over the nonzero weights, or both are zeros, one of them
+perhaps -0.0, and adding either zero to the output gives the same
+bytes. The bytes are those of the whole-plane loop over every weight.
 """
 
 from __future__ import annotations
@@ -64,9 +77,13 @@ _PIXEL_BLOCK = 1 << 12
 # for the filters with two or more products in a channel. Below it
 # (VGG16 CONV5-x, AlexNet CONV2-5) the output rows are short, and the
 # second scatter per tap and the longer per-channel set-up cost more than
-# the fills and flushes they save. VGG16 CONV4-x (401408) is break-even:
-# at d0.1 it took the same time with the gate here and at 2^19 (2-vCPU VM)
+# the fills and flushes they save
 _COMPACT_FLOATS = 1 << 18
+
+# nonzero share of a channel's weights from which dense_conv multiplies
+# every weight of it, tap by tap over contiguous rows, instead of listing
+# its nonzero (tap, filter) pairs
+_DENSE_SHARE = 0.4
 
 # weights random_sparse_filters writes per chunk: its scratch is three
 # float64 draws of this length (1.5 MB), whatever the bank's size
@@ -150,17 +167,37 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     partial = np.empty((filters, pix_block), np.float32)
     windows = np.empty((k * k, out_h, out_w), np.float32)
     rows = windows.reshape(k * k, pixels)
-    # on a large layer, each channel keeps partial sums only for the
-    # filters with two or more products in it
+    # on a large layer, each listed channel keeps partial sums only for
+    # the filters with two or more products in it
     large = filters * pixels >= _COMPACT_FLOATS
     ends = np.arange(k * k + 1)
     no_lone = [0] * (k * k + 1)
+    # one tile of products for the dense channels, made on the first one
+    product = None
     for chi in range(layer.channels):
         taps = w[:, chi].reshape(filters, k * k).T
-        # nonzero (tap, filter) pairs in that order
-        tap, filt = np.nonzero(taps)
-        if not len(tap):
+        # a contiguous mask counts and lists faster than the strided taps
+        nonzero = taps != 0
+        count = np.count_nonzero(nonzero)
+        if not count:
             continue
+        _copy_windows(padded, chi, layer, windows)
+        if count >= _DENSE_SHARE * taps.size:
+            # every weight: tap 0's products are the partial sums
+            if product is None:
+                product = np.empty_like(partial)
+            column = taps[:, :, None]
+            for p0 in range(0, pixels, pix_block):
+                p1 = min(pixels, p0 + pix_block)
+                part, prod = partial[:, :p1 - p0], product[:, :p1 - p0]
+                np.multiply(column[0], rows[0, p0:p1], out=part)
+                for t in range(1, k * k):
+                    np.multiply(column[t], rows[t, p0:p1], out=prod)
+                    part += prod
+                out[:, p0:p1] += part
+            continue
+        # nonzero (tap, filter) pairs in that order
+        tap, filt = np.nonzero(nonzero)
         weight = taps[tap, filt][:, None]
         # tap t's pairs bounds[t]:bounds[t + 1] add into partial sums
         # part_of, which flush into filters `flush`; the pairs of its
@@ -176,7 +213,6 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
             flush = np.flatnonzero(products >= 2)
             sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
         bounds = np.searchsorted(tap, ends).tolist()
-        _copy_windows(padded, chi, layer, windows)
         for p0 in range(0, pixels, pix_block):
             p1 = min(pixels, p0 + pix_block)
             part = partial[:sums, :p1 - p0]

@@ -1,6 +1,7 @@
 """Dense oracles against independently coded brute-force references."""
 
 import ast
+import functools
 import hashlib
 from pathlib import Path
 from unittest import mock
@@ -147,6 +148,15 @@ def _brute_fc(x, w):
 def _rand_input(shape, seed):
     rng = np.random.default_rng(seed)
     return (rng.random(shape) * 2.0 - 1.0).astype(np.float32)
+
+
+@functools.lru_cache(maxsize=None)
+def _paths_case(density):
+    """A 16-filter, 3-channel layer, its bank, input and _brute_conv bytes."""
+    layer = LayerSpec("paths", "conv", 3, 9, 9, 3, 1, 1, 16)
+    bank = random_sparse_filters(layer, density, 30)
+    x = _rand_input((3, 9, 9), 31)
+    return layer, bank, x, _brute_conv(x, bank, layer).tobytes()
 
 
 class TestAsF32:
@@ -305,6 +315,65 @@ class TestDenseConv:
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
+
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0],
+                             ids=["d0.1", "d0.5", "d1.0"])
+    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @pytest.mark.parametrize("share", [0, 2.0], ids=["dense", "listed"])
+    def test_dense_and_listed_channels_agree(self, share, gate, density):
+        # a share of 0 multiplies every weight of every channel with a
+        # nonzero one, a share of 2.0 lists the pairs of every channel;
+        # the gate picks the listed path's form, and 7-pixel tiles end
+        # mid-row of the 9-wide output
+        layer, bank, x, expected = _paths_case(density)
+        with mock.patch.multiple(dense, _DENSE_SHARE=share,
+                                 _COMPACT_FLOATS=gate, _PIXEL_BLOCK=7):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    def test_channels_on_both_sides_of_the_dense_share(self, gate):
+        # 45 weights per channel, of which 18 are the dense share: the
+        # channels hold all 45, 18, 17, one and none, and the zeros are
+        # -0.0 or +0.0 alike
+        layer = LayerSpec("share", "conv", 5, 7, 7, 3, 1, 1, 5)
+        at = dense._DENSE_SHARE * 45
+        assert at == 18
+        rng = np.random.default_rng(24)
+        keep = np.zeros((5, 5, 3, 3), bool)
+        for channel, count in enumerate([45, 18, 17, 1, 0]):
+            chosen = keep[:, channel].reshape(-1)
+            chosen[rng.permutation(45)[:count]] = True
+            keep[:, channel] = chosen.reshape(5, 3, 3)
+        bank = _bank_where(keep, 0.5, 25)
+        counts = np.count_nonzero(bank, axis=(0, 2, 3)).tolist()
+        assert counts == [45, 18, 17, 1, 0]
+        x = _rand_input((5, 7, 7), 26)
+        with mock.patch.object(dense, "_COMPACT_FLOATS", gate):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
+        assert not (np.signbit(out) & (out == 0)).any()
+
+    @pytest.mark.parametrize("block", [7, 1 << 12], ids=["block-7", "block"])
+    def test_dense_channel_of_negative_zero_products(self, block):
+        # channel 0 holds every weight, all negative, over an input that
+        # is +0.0 but for its last row and column: tap 0 only reads
+        # zeros and padding, so its products, which a dense channel
+        # writes as the partial sums, are all -0.0, and so is every
+        # product of the pixels whose window holds zeros only. Channel 1
+        # adds one product into filter 1
+        layer = LayerSpec("nzd", "conv", 2, 6, 6, 3, 1, 1, 4)
+        bank = np.zeros((4, 2, 3, 3), np.float32)
+        bank[:, 0] = -(1.0 - np.random.default_rng(27).random((4, 3, 3)))
+        bank[1, 1, 1, 1] = 2.0
+        x = np.zeros((2, 6, 6), np.float32)
+        x[0, -1] = x[0, :, -1] = 1.0 + _rand_input(6, 28)
+        x[1] = _rand_input((6, 6), 29)
+        with mock.patch.object(dense, "_PIXEL_BLOCK", block):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
+        assert not (np.signbit(out) & (out == 0)).any()
+        assert (out[[0, 2, 3], :4, :4] == 0).all()
 
     def test_linear_in_input(self):
         layer = LayerSpec("l", "conv", 2, 6, 6, 3, 1, 1, 4)

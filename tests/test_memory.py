@@ -8,6 +8,7 @@ peaks the same way every run.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from csfsim import (LayerSpec, dense_conv, dense_fc, encode_csf, engine,
                     random_sparse_filters, run_conv, stack_filters)
@@ -47,16 +48,32 @@ def test_dense_fc_checks_the_bank_in_place():
     assert peak < bank.nbytes / 8
 
 
+def _dense_conv_conv1_1_peak(density):
+    """dense_conv on VGG16 CONV1-1: its output and the peak."""
+    layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
+    bank = random_sparse_filters(layer, density, 2)
+    features = np.random.default_rng(1).random((3, 224, 224), np.float32)
+    return _traced_peak(dense_conv, features, bank, layer)
+
+
 def test_dense_conv_scratch_stays_near_the_output():
     # VGG16 CONV1-1 at d0.1: a 12.25 MiB output. The window rows (1.7
     # MiB), the padded input (0.6 MiB), one tile's partial sums (1 MiB)
     # and one tap's products fit in 4 MiB; partial sums or products
-    # over the whole plane would not
-    layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
-    bank = random_sparse_filters(layer, 0.1, 2)
-    features = np.random.default_rng(1).random((3, 224, 224), np.float32)
-    out, peak = _traced_peak(dense_conv, features, bank, layer)
+    # over the whole plane would not. No channel is dense, so a tile of
+    # dense products (1 MiB) made up front would not fit either
+    out, peak = _dense_conv_conv1_1_peak(0.1)
     assert peak <= out.nbytes + 4 * MB
+
+
+@pytest.mark.parametrize("density", [0.5, 1.0], ids=["d0.5", "d1.0"])
+def test_dense_conv_scratch_of_dense_channels(density):
+    # the same layer with every channel dense: one tile's partial sums
+    # and one tile of products (1 MiB each) beside the window rows and
+    # the padded input. Listing the pairs of these channels took 4.54
+    # MiB at d0.5 and 5.33 MiB at d1.0
+    out, peak = _dense_conv_conv1_1_peak(density)
+    assert peak <= out.nbytes + 4.5 * MB
 
 
 def _run_conv_conv1_1_peak(density):
