@@ -36,6 +36,18 @@ into the output in its tap's turn, and a filter with none is left
 alone. On a smaller layer every listed channel keeps one partial sum
 per filter and its contiguous flush.
 
+The counting and listing, the set-up, runs once per group of channels,
+not once per channel: a group holds as many whole channels as fit
+`_GROUP_CELLS` (channel, tap, filter) cells, and at least one. A few
+whole-array passes over the group's transposed `!= 0` mask give every
+channel's count, so its dense or listed path, one `flatnonzero` listing
+of the listed channels' pairs in the order above, their weights and
+every (channel, tap) bound, and on a large layer the lone split, the
+partial-sum rows and each channel's flush rows. Every index array is
+numpy's own `intp`, so no fancy index converts its index on each use.
+Only the window copy and the tiles run per channel, so the groups change
+no arithmetic.
+
 `dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
 at the default 8192, multiplying rows of a few hundred to 3000 floats by
 a weight column copies the column through the buffer, at 2-4x the cost.
@@ -84,6 +96,10 @@ _COMPACT_FLOATS = 1 << 18
 # every weight of it, tap by tap over contiguous rows, instead of listing
 # its nonzero (tap, filter) pairs
 _DENSE_SHARE = 0.4
+
+# (channel, tap, filter) cells whose set-up dense_conv does together, in
+# a few whole-array passes; a larger group takes more set-up scratch
+_GROUP_CELLS = 1 << 16
 
 # weights random_sparse_filters writes per chunk: its scratch is three
 # float64 draws of this length (1.5 MB), whatever the bank's size
@@ -147,6 +163,67 @@ def _bank(weights, layer: LayerSpec) -> np.ndarray:
     return w
 
 
+def _list_group(w: np.ndarray, c0: int, c1: int, large: bool) -> tuple:
+    """Count and list the nonzero weights of channels c0:c1 of bank `w`.
+
+    A channel below the dense share lists its nonzero (tap, filter)
+    pairs in tap-major order, and the channels' lists follow each other.
+    On a large layer a filter with a single product in a channel makes a
+    lone pair, and the others add into partial-sum rows kept for the
+    filters with two or more; on a smaller layer every pair adds into its
+    own filter's row. Returns, with i = channel * taps + tap counted from
+    c0:
+
+    - counts: each channel's nonzero weights;
+    - bounds, part_of, weight: (channel, tap) i adds the pairs
+      bounds[i]:bounds[i + 1], each weight (a column) times the window
+      row into partial-sum row part_of;
+    - sums, flush: each channel's partial-sum rows and the filters they
+      flush into;
+    - lone_bounds, lone_filt, lone_weight: (channel, tap) i adds its lone
+      pairs lone_bounds[i]:lone_bounds[i + 1] straight into filters
+      lone_filt.
+    """
+    filters, channels, k, _ = w.shape
+    taps, n = k * k, c1 - c0
+    # (channel, tap, filter) order, the listing's
+    nonzero = (w[:, c0:c1].reshape(filters, n * taps) != 0).T.copy()
+    nonzero = nonzero.reshape(n, taps * filters)
+    # per row: with an axis, count_nonzero casts the mask to integers
+    counts = [np.count_nonzero(row) for row in nonzero]
+    nonzero[np.greater_equal(counts, _DENSE_SHARE * taps * filters)] = False
+    at, filt = np.divmod(np.flatnonzero(nonzero), filters)
+    # the bank holds a pair's weight at ((filt * channels) + c0) * taps + at
+    index = filt * channels
+    index += c0
+    index *= taps
+    index += at
+    weight = w.reshape(-1).take(index)
+    ends = np.arange(n * taps + 1)
+    if not large:
+        return (counts, np.searchsorted(at, ends).tolist(), filt,
+                weight[:, None], [filters] * n, [slice(None)] * n,
+                [0] * (n * taps + 1), filt[:0], weight[:0, None])
+    # (channel, filter) of each pair
+    key = at // taps
+    key *= filters
+    key += filt
+    multi = np.bincount(key, minlength=n * filters) > 1
+    summed = multi[key]
+    lone = ~summed
+    multi = multi.reshape(n, filters)
+    slots = np.cumsum(multi, axis=1)
+    slots -= 1
+    sums = np.count_nonzero(multi, axis=1)
+    flush = np.split(np.flatnonzero(multi) % filters, np.cumsum(sums)[:-1])
+    # compress, not a boolean index: it takes a fraction of the time
+    return (counts, np.searchsorted(at.compress(summed), ends).tolist(),
+            slots.reshape(-1).take(key.compress(summed)),
+            weight.compress(summed)[:, None], sums.tolist(), flush,
+            np.searchsorted(at.compress(lone), ends).tolist(),
+            filt.compress(lone), weight.compress(lone)[:, None])
+
+
 @_small_ufunc_buffer()
 def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     """Direct convolution over a filter bank of shape (filters, C, K, K).
@@ -161,73 +238,62 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     w = _bank(weights, layer)
     out_w, out_h = output_shape(layer)
     k, filters, pixels = layer.kernel, w.shape[0], out_h * out_w
+    taps = k * k
+    cells = taps * filters
     padded = pad_channels(x, layer.pad)
     out = np.zeros((filters, pixels), np.float32)
     pix_block = min(pixels, _PIXEL_BLOCK)
     partial = np.empty((filters, pix_block), np.float32)
-    windows = np.empty((k * k, out_h, out_w), np.float32)
-    rows = windows.reshape(k * k, pixels)
+    windows = np.empty((taps, out_h, out_w), np.float32)
+    rows = windows.reshape(taps, pixels)
     # on a large layer, each listed channel keeps partial sums only for
     # the filters with two or more products in it
     large = filters * pixels >= _COMPACT_FLOATS
-    ends = np.arange(k * k + 1)
-    no_lone = [0] * (k * k + 1)
+    group = max(1, _GROUP_CELLS // max(1, cells))
     # one tile of products for the dense channels, made on the first one
     product = None
-    for chi in range(layer.channels):
-        taps = w[:, chi].reshape(filters, k * k).T
-        # a contiguous mask counts and lists faster than the strided taps
-        nonzero = taps != 0
-        count = np.count_nonzero(nonzero)
-        if not count:
-            continue
-        _copy_windows(padded, chi, layer, windows)
-        if count >= _DENSE_SHARE * taps.size:
-            # every weight: tap 0's products are the partial sums
-            if product is None:
-                product = np.empty_like(partial)
-            column = taps[:, :, None]
+    for c0 in range(0, layer.channels, group):
+        (counts, bounds, part_of, weight, sums, flush, lone_bounds,
+         lone_filt, lone_weight) = _list_group(
+             w, c0, min(layer.channels, c0 + group), large)
+        for j, count in enumerate(counts):
+            if not count:
+                continue
+            _copy_windows(padded, c0 + j, layer, windows)
+            if count >= _DENSE_SHARE * cells:
+                # every weight: tap 0's products are the partial sums
+                if product is None:
+                    product = np.empty_like(partial)
+                column = w[:, c0 + j].reshape(filters, taps).T[:, :, None]
+                for p0 in range(0, pixels, pix_block):
+                    p1 = min(pixels, p0 + pix_block)
+                    part, prod = partial[:, :p1 - p0], product[:, :p1 - p0]
+                    np.multiply(column[0], rows[0, p0:p1], out=part)
+                    for t in range(1, taps):
+                        np.multiply(column[t], rows[t, p0:p1], out=prod)
+                        part += prod
+                    out[:, p0:p1] += part
+                continue
+            # tap t's pairs ends[t]:ends[t + 1] add into partial sums
+            # part_of, which flush into filters flush[j]; its lone pairs,
+            # lone_ends[t]:lone_ends[t + 1], add straight into the output
+            ends = bounds[j * taps:(j + 1) * taps + 1]
+            lone_ends = lone_bounds[j * taps:(j + 1) * taps + 1]
             for p0 in range(0, pixels, pix_block):
                 p1 = min(pixels, p0 + pix_block)
-                part, prod = partial[:, :p1 - p0], product[:, :p1 - p0]
-                np.multiply(column[0], rows[0, p0:p1], out=part)
-                for t in range(1, k * k):
-                    np.multiply(column[t], rows[t, p0:p1], out=prod)
-                    part += prod
-                out[:, p0:p1] += part
-            continue
-        # nonzero (tap, filter) pairs in that order
-        tap, filt = np.nonzero(nonzero)
-        weight = taps[tap, filt][:, None]
-        # tap t's pairs bounds[t]:bounds[t + 1] add into partial sums
-        # part_of, which flush into filters `flush`; the pairs of its
-        # filters with a single product, lone_bounds[t]:lone_bounds[t +
-        # 1], add straight into the output
-        sums, part_of, flush, lone_bounds = filters, filt, slice(None), no_lone
-        if large:
-            products = np.bincount(filt, minlength=filters)
-            lone = products[filt] == 1
-            lone_filt, lone_weight = filt[lone], weight[lone]
-            lone_bounds = np.searchsorted(tap[lone], ends).tolist()
-            tap, weight = tap[~lone], weight[~lone]
-            flush = np.flatnonzero(products >= 2)
-            sums, part_of = len(flush), np.searchsorted(flush, filt[~lone])
-        bounds = np.searchsorted(tap, ends).tolist()
-        for p0 in range(0, pixels, pix_block):
-            p1 = min(pixels, p0 + pix_block)
-            part = partial[:sums, :p1 - p0]
-            # start from +0.0 like a zeroed register file, so products
-            # that are all -0.0 still sum to +0.0
-            part.fill(0.0)
-            for t in range(k * k):
-                lo, hi = bounds[t], bounds[t + 1]
-                if hi > lo:
-                    part[part_of[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
-                lo, hi = lone_bounds[t], lone_bounds[t + 1]
-                if hi > lo:
-                    out[lone_filt[lo:hi], p0:p1] += (lone_weight[lo:hi]
-                                                     * rows[t, p0:p1])
-            out[flush, p0:p1] += part
+                part = partial[:sums[j], :p1 - p0]
+                # start from +0.0 like a zeroed register file, so products
+                # that are all -0.0 still sum to +0.0
+                part.fill(0.0)
+                for t in range(taps):
+                    lo, hi = ends[t], ends[t + 1]
+                    if hi > lo:
+                        part[part_of[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
+                    lo, hi = lone_ends[t], lone_ends[t + 1]
+                    if hi > lo:
+                        out[lone_filt[lo:hi], p0:p1] += (lone_weight[lo:hi]
+                                                         * rows[t, p0:p1])
+                out[flush[j], p0:p1] += part
     return out.reshape(filters, out_h, out_w)
 
 

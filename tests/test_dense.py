@@ -354,6 +354,59 @@ class TestDenseConv:
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
 
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0],
+                             ids=["d0.1", "d0.5", "d1.0"])
+    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @pytest.mark.parametrize("share", [0, 0.4, 2.0],
+                             ids=["dense", "shipped", "listed"])
+    @pytest.mark.parametrize("group", [1, 2, 3],
+                             ids=["group-1", "group-2", "group-3"])
+    def test_channel_groups_agree(self, group, share, gate, density):
+        # a channel holds 16 filters x 9 taps = 144 cells: budgets of one,
+        # two and three channels' cells list the 3 channels one at a
+        # time, as a group of two and a short last group of one, and all
+        # at once
+        layer, bank, x, expected = _paths_case(density)
+        with mock.patch.multiple(dense, _GROUP_CELLS=group * 144,
+                                 _DENSE_SHARE=share, _COMPACT_FLOATS=gate,
+                                 _PIXEL_BLOCK=7):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    def test_dense_and_empty_channels_at_group_edges(self, gate):
+        # groups of two channels: channels 0 and 1 are dense, so their
+        # group lists nothing; channel 2, first of the next group, is
+        # empty, and so is channel 6, alone in the short last group.
+        # Channels 3 to 5 are listed, with one product, a few and 17 of
+        # the 45 weights, just under the dense share
+        layer = LayerSpec("edges", "conv", 7, 7, 7, 3, 1, 1, 5)
+        rng = np.random.default_rng(32)
+        keep = np.zeros((5, 7, 3, 3), bool)
+        for channel, count in enumerate([45, 30, 0, 1, 6, 17, 0]):
+            chosen = keep[:, channel].reshape(-1)
+            chosen[rng.permutation(45)[:count]] = True
+            keep[:, channel] = chosen.reshape(5, 3, 3)
+        bank = _bank_where(keep, 0.5, 33)
+        counts = np.count_nonzero(bank, axis=(0, 2, 3)).tolist()
+        assert counts == [45, 30, 0, 1, 6, 17, 0]
+        x = _rand_input((7, 7, 7), 34)
+        with mock.patch.multiple(dense, _GROUP_CELLS=2 * 45,
+                                 _COMPACT_FLOATS=gate, _PIXEL_BLOCK=7):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
+
+    @pytest.mark.parametrize("group", [0, 1, 1 << 60],
+                             ids=["group-0", "group-1", "whole"])
+    def test_empty_bank_in_any_group(self, group):
+        # no filters means no cells: the group size must not divide by
+        # the cells of a channel
+        layer = LayerSpec("e", "conv", 3, 5, 5, 3, 1, 0, 4)
+        with mock.patch.object(dense, "_GROUP_CELLS", group):
+            out = dense_conv(_rand_input((3, 5, 5), 5),
+                             np.zeros((0, 3, 3, 3)), layer)
+        assert out.shape == (0, 3, 3) and out.dtype == np.float32
+
     @pytest.mark.parametrize("block", [7, 1 << 12], ids=["block-7", "block"])
     def test_dense_channel_of_negative_zero_products(self, block):
         # channel 0 holds every weight, all negative, over an input that

@@ -76,6 +76,20 @@ def test_dense_conv_scratch_of_dense_channels(density):
     assert peak <= out.nbytes + 4.5 * MB
 
 
+def test_dense_conv_lists_one_channel_group_at_a_time():
+    # VGG16 CONV4-1 at d0.35: every channel is listed, just under the
+    # dense share, so the listing is at its largest. The output is 1.5
+    # MiB; one tile's partial sums (1.5 MiB), the padded input (0.9 MiB),
+    # the window rows and one group of channels' listing traced at 4.19
+    # MiB. Channel by channel it took 3.92 MiB, and one listing for the
+    # whole layer 28.3 MiB
+    layer = LayerSpec("CONV4-1", "conv", 256, 28, 28, 3, 1, 1, 512)
+    bank = random_sparse_filters(layer, 0.35, 2)
+    features = np.random.default_rng(1).random((256, 28, 28), np.float32)
+    out, peak = _traced_peak(dense_conv, features, bank, layer)
+    assert peak <= out.nbytes + 4.5 * MB
+
+
 def _run_conv_conv1_1_peak(density):
     """VGG16 CONV1-1 as one 64-filter stack: its output and the peak."""
     layer = LayerSpec("CONV1-1", "conv", 3, 224, 224, 3, 1, 1, 64)
