@@ -7,46 +7,43 @@ output element (the engine flushes its register file into the output buffer
 once per channel); FC keeps a single flat running sum per output, walking
 the input in stream order.
 
-`dense_conv` skips a channel with no nonzero weight. Per other channel
-it copies the k*k window planes into one contiguous scratch row each and
-walks the output in tiles of every filter by up to `_PIXEL_BLOCK`
-pixels, adding each tile's partial sums, one per filter, into the output
-once. How a tile makes its partial sums depends on the channel's share
-of nonzero weights:
+`dense_conv` walks the output in tiles of whole output rows, as many
+as fit `_PIXEL_BLOCK` pixels and at least one, and gives each tile one
+float32 accumulator: the tile's output rows, then at most one
+partial-sum row per filter. Per tile it skips a channel with no nonzero
+weight, copies each other channel's k*k window rows into one contiguous
+scratch row each, and adds its products by its share of nonzero
+weights:
 
 - a dense channel, with a share of at least `_DENSE_SHARE`, multiplies
   every weight: tap 0's (filters, 1) weight column times its window row
-  is written as the partial sums, and each later tap's product is added
-  in with one contiguous add;
+  is written as every filter's partial-sum row, each later tap's
+  product is added in with one contiguous add, and one more adds the
+  partial sums into the output rows;
 - a listed channel multiplies only its nonzero weights, listed
   tap-major: per kernel position in row then column order, the filters
-  whose weight there is nonzero, ascending. The tile zeroes its partial
-  sums and adds one product row per listed (tap, filter) pair into that
-  filter's partial, tap by tap. A filter appears at most once per tap,
-  so each product is added once.
+  whose weight there is nonzero, ascending. Each pair has one target
+  row: its filter's output row when it is that filter's only product
+  in the channel, else that filter's partial-sum row, kept for the
+  filters with two or more products and zeroed first. So each tap is
+  one `acc[target] += weight * window_row`, and the partial sums flush
+  into their output rows with one scatter. Within one channel and tap a
+  filter appears at most once and is either lone or summed, so the
+  targets are distinct and each product is added once.
 
-Tiling changes which elements are computed together, never the sequence
-of float32 additions any one output element sees.
+A finished tile's output rows are copied into the output. Tiling
+changes which elements are computed together, never the sequence of
+float32 additions any one output element sees.
 
-On a layer whose filters x output pixels reach `_COMPACT_FLOATS`, each
-listed channel keeps partial sums only for the filters with two or more
-products in it, packed in filter order and flushed into their output
-rows with one scatter. A filter with a single product adds it straight
-into the output in its tap's turn, and a filter with none is left
-alone. On a smaller layer every listed channel keeps one partial sum
-per filter and its contiguous flush.
-
-The counting and listing, the set-up, runs once per group of channels,
-not once per channel: a group holds as many whole channels as fit
-`_GROUP_CELLS` (channel, tap, filter) cells, and at least one. A few
-whole-array passes over the group's transposed `!= 0` mask give every
-channel's count, so its dense or listed path, one `flatnonzero` listing
-of the listed channels' pairs in the order above, their weights and
-every (channel, tap) bound, and on a large layer the lone split, the
-partial-sum rows and each channel's flush rows. Every index array is
-numpy's own `intp`, so no fancy index converts its index on each use.
-Only the window copy and the tiles run per channel, so the groups change
-no arithmetic.
+The counting and listing, the set-up, runs once per row tile and group
+of channels: a group holds as many whole channels as fit `_GROUP_CELLS`
+(channel, tap, filter) cells, and at least one. A few whole-array
+passes over the group's transposed `!= 0` mask give every channel's
+count, so its dense or listed path, one `flatnonzero` listing of the
+listed channels' pairs in the order above, their weights, target rows
+and every (channel, tap) bound, and each channel's flush rows. Every
+index array is numpy's own `intp`, so no fancy index converts its index
+on each use. The groups change no arithmetic.
 
 `dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
 at the default 8192, multiplying rows of a few hundred to 3000 floats by
@@ -81,16 +78,10 @@ import numpy as np
 
 from .layers import LayerSpec, output_shape
 
-# output pixels per dense_conv tile: a tile's partial sums are
-# filters x _PIXEL_BLOCK floats
+# output pixels per dense_conv tile of whole output rows, or one row
+# where a row is wider: a tile's accumulator, its output rows and at most
+# one partial-sum row per filter, is 2 x filters x tile pixels floats
 _PIXEL_BLOCK = 1 << 12
-
-# filters x output pixels from which dense_conv keeps partial sums only
-# for the filters with two or more products in a channel. Below it
-# (VGG16 CONV5-x, AlexNet CONV2-5) the output rows are short, and the
-# second scatter per tap and the longer per-channel set-up cost more than
-# the fills and flushes they save
-_COMPACT_FLOATS = 1 << 18
 
 # nonzero share of a channel's weights from which dense_conv multiplies
 # every weight of it, tap by tap over contiguous rows, instead of listing
@@ -163,26 +154,22 @@ def _bank(weights, layer: LayerSpec) -> np.ndarray:
     return w
 
 
-def _list_group(w: np.ndarray, c0: int, c1: int, large: bool) -> tuple:
+def _list_group(w: np.ndarray, c0: int, c1: int) -> tuple:
     """Count and list the nonzero weights of channels c0:c1 of bank `w`.
 
     A channel below the dense share lists its nonzero (tap, filter)
     pairs in tap-major order, and the channels' lists follow each other.
-    On a large layer a filter with a single product in a channel makes a
-    lone pair, and the others add into partial-sum rows kept for the
-    filters with two or more; on a smaller layer every pair adds into its
-    own filter's row. Returns, with i = channel * taps + tap counted from
-    c0:
+    A filter with a single product in a channel adds it into its output
+    row; the others add into partial-sum rows, kept for the filters with
+    two or more products in filter order from row `filters` of the
+    accumulator. Returns, with i = channel * taps + tap counted from c0:
 
     - counts: each channel's nonzero weights;
-    - bounds, part_of, weight: (channel, tap) i adds the pairs
+    - bounds, target, weight: (channel, tap) i adds the pairs
       bounds[i]:bounds[i + 1], each weight (a column) times the window
-      row into partial-sum row part_of;
-    - sums, flush: each channel's partial-sum rows and the filters they
-      flush into;
-    - lone_bounds, lone_filt, lone_weight: (channel, tap) i adds its lone
-      pairs lone_bounds[i]:lone_bounds[i + 1] straight into filters
-      lone_filt.
+      row into accumulator row target;
+    - flush_bounds, flush: channel j's partial-sum rows flush into
+      filters flush[flush_bounds[j]:flush_bounds[j + 1]].
     """
     filters, channels, k, _ = w.shape
     taps, n = k * k, c1 - c0
@@ -199,29 +186,19 @@ def _list_group(w: np.ndarray, c0: int, c1: int, large: bool) -> tuple:
     index *= taps
     index += at
     weight = w.reshape(-1).take(index)
-    ends = np.arange(n * taps + 1)
-    if not large:
-        return (counts, np.searchsorted(at, ends).tolist(), filt,
-                weight[:, None], [filters] * n, [slice(None)] * n,
-                [0] * (n * taps + 1), filt[:0], weight[:0, None])
     # (channel, filter) of each pair
     key = at // taps
     key *= filters
     key += filt
-    multi = np.bincount(key, minlength=n * filters) > 1
-    summed = multi[key]
-    lone = ~summed
-    multi = multi.reshape(n, filters)
-    slots = np.cumsum(multi, axis=1)
-    slots -= 1
-    sums = np.count_nonzero(multi, axis=1)
-    flush = np.split(np.flatnonzero(multi) % filters, np.cumsum(sums)[:-1])
-    # compress, not a boolean index: it takes a fraction of the time
-    return (counts, np.searchsorted(at.compress(summed), ends).tolist(),
-            slots.reshape(-1).take(key.compress(summed)),
-            weight.compress(summed)[:, None], sums.tolist(), flush,
-            np.searchsorted(at.compress(lone), ends).tolist(),
-            filt.compress(lone), weight.compress(lone)[:, None])
+    multi = np.bincount(key, minlength=n * filters).reshape(n, filters) > 1
+    # a lone pair's row is its filter's, a summed one's its partial's
+    rows = np.cumsum(multi, axis=1)
+    rows += filters - 1
+    rows = np.where(multi, rows, np.arange(filters))
+    flush_bounds = np.cumsum(np.count_nonzero(multi, axis=1)).tolist()
+    return (counts, np.searchsorted(at, np.arange(n * taps + 1)).tolist(),
+            rows.reshape(-1).take(key), weight[:, None], [0] + flush_bounds,
+            np.flatnonzero(multi) % filters)
 
 
 @_small_ufunc_buffer()
@@ -237,63 +214,67 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     x = as_f32(features, (layer.channels, layer.height, layer.width))
     w = _bank(weights, layer)
     out_w, out_h = output_shape(layer)
-    k, filters, pixels = layer.kernel, w.shape[0], out_h * out_w
+    k, filters = layer.kernel, w.shape[0]
     taps = k * k
     cells = taps * filters
     padded = pad_channels(x, layer.pad)
-    out = np.zeros((filters, pixels), np.float32)
-    pix_block = min(pixels, _PIXEL_BLOCK)
-    partial = np.empty((filters, pix_block), np.float32)
-    windows = np.empty((taps, out_h, out_w), np.float32)
-    rows = windows.reshape(taps, pixels)
-    # on a large layer, each listed channel keeps partial sums only for
-    # the filters with two or more products in it
-    large = filters * pixels >= _COMPACT_FLOATS
+    rows = min(out_h, max(1, _PIXEL_BLOCK // out_w))
+    # flat scratch for the largest tile, reshaped per tile: the window
+    # rows, and the accumulator's output rows then partial-sum rows
+    window_rows = np.empty(taps * rows * out_w, np.float32)
+    accumulator = np.empty(2 * filters * rows * out_w, np.float32)
     group = max(1, _GROUP_CELLS // max(1, cells))
     # one tile of products for the dense channels, made on the first one
     product = None
-    for c0 in range(0, layer.channels, group):
-        (counts, bounds, part_of, weight, sums, flush, lone_bounds,
-         lone_filt, lone_weight) = _list_group(
-             w, c0, min(layer.channels, c0 + group), large)
-        for j, count in enumerate(counts):
-            if not count:
-                continue
-            _copy_windows(padded, c0 + j, layer, windows)
-            if count >= _DENSE_SHARE * cells:
-                # every weight: tap 0's products are the partial sums
-                if product is None:
-                    product = np.empty_like(partial)
-                column = w[:, c0 + j].reshape(filters, taps).T[:, :, None]
-                for p0 in range(0, pixels, pix_block):
-                    p1 = min(pixels, p0 + pix_block)
-                    part, prod = partial[:, :p1 - p0], product[:, :p1 - p0]
-                    np.multiply(column[0], rows[0, p0:p1], out=part)
+    for y0 in range(0, out_h, rows):
+        y1 = min(out_h, y0 + rows)
+        pixels = (y1 - y0) * out_w
+        windows = window_rows[:taps * pixels].reshape(taps, y1 - y0, out_w)
+        tile_rows = windows.reshape(taps, pixels)
+        acc = accumulator[:2 * filters * pixels].reshape(2 * filters, pixels)
+        tile_out = acc[:filters]
+        tile_out.fill(0.0)
+        for c0 in range(0, layer.channels, group):
+            counts, bounds, target, weight, flush_bounds, flush = _list_group(
+                w, c0, min(layer.channels, c0 + group))
+            for j, count in enumerate(counts):
+                if not count:
+                    continue
+                _copy_windows(padded[:, y0 * layer.stride:], c0 + j, layer,
+                              windows)
+                if count >= _DENSE_SHARE * cells:
+                    # every weight: tap 0's products are the partial sums
+                    if product is None:
+                        product = np.empty(filters * rows * out_w,
+                                           np.float32)
+                    prod = product[:filters * pixels].reshape(filters, pixels)
+                    part = acc[filters:]
+                    column = w[:, c0 + j].reshape(filters, taps).T[:, :, None]
+                    np.multiply(column[0], tile_rows[0], out=part)
                     for t in range(1, taps):
-                        np.multiply(column[t], rows[t, p0:p1], out=prod)
+                        np.multiply(column[t], tile_rows[t], out=prod)
                         part += prod
-                    out[:, p0:p1] += part
-                continue
-            # tap t's pairs ends[t]:ends[t + 1] add into partial sums
-            # part_of, which flush into filters flush[j]; its lone pairs,
-            # lone_ends[t]:lone_ends[t + 1], add straight into the output
-            ends = bounds[j * taps:(j + 1) * taps + 1]
-            lone_ends = lone_bounds[j * taps:(j + 1) * taps + 1]
-            for p0 in range(0, pixels, pix_block):
-                p1 = min(pixels, p0 + pix_block)
-                part = partial[:sums[j], :p1 - p0]
+                    tile_out += part
+                    continue
+                # tap t's pairs ends[t]:ends[t + 1] add into rows target:
+                # a lone product into its output row, the others into
+                # partial sums that flush into filters flush[f0:f1]
+                ends = bounds[j * taps:(j + 1) * taps + 1]
+                f0, f1 = flush_bounds[j], flush_bounds[j + 1]
+                part = acc[filters:filters + f1 - f0]
                 # start from +0.0 like a zeroed register file, so products
                 # that are all -0.0 still sum to +0.0
                 part.fill(0.0)
                 for t in range(taps):
                     lo, hi = ends[t], ends[t + 1]
                     if hi > lo:
-                        part[part_of[lo:hi]] += weight[lo:hi] * rows[t, p0:p1]
-                    lo, hi = lone_ends[t], lone_ends[t + 1]
-                    if hi > lo:
-                        out[lone_filt[lo:hi], p0:p1] += (lone_weight[lo:hi]
-                                                         * rows[t, p0:p1])
-                out[flush[j], p0:p1] += part
+                        acc[target[lo:hi]] += weight[lo:hi] * tile_rows[t]
+                tile_out[flush[f0:f1]] += part
+        if not y0:
+            # made once the first tile is done, so that a one-tile layer
+            # holds the output beside its accumulator only at the end
+            out = np.empty((filters, out_h * out_w), np.float32)
+        out[:, y0 * out_w:y1 * out_w] = tile_out
     return out.reshape(filters, out_h, out_w)
 
 

@@ -14,34 +14,34 @@ time, is `EngineContext` in `tests/scalar_engine.py`: the tests' reference,
 which `run_conv` matches bit for bit.
 
 `run_conv` walks the input in blocks of whole channels: as many as keep
-a block's registers and its window rows each within `_BLOCK_FLOATS`.
-Where that rule leaves one channel per block (a large plane), it walks
-the channel in the fewest tiles of whole output rows that keep its
-registers, one spare row included ((filters + 1) x tile pixels), and
-its window rows (taps x tile pixels) each within `_BLOCK_FLOATS`; an
-output row wider than that gives one-row tiles. Rank j of a (channel,
-filter) register is its (j+1)-th product in tap order, kernel row then
-column. Within a block, registers sit in slots ordered by product
-count, descending, so the registers that take more than j products are
-always the first slots; a few passes over the whole stream give every
-entry its rank and slot, once, whatever the tiles. Per tile and block,
-`run_conv` copies each tap's window rows and walks the ranks: rank j is
-one take of the window rows its entries read, one multiply by their
-weights and one add into that contiguous prefix of the registers, and
-rank 0 is written straight into its registers. Then, one channel at a
-time in channel order, a take puts the channel's registers back in
-filter order, a pair with no product reading the spare +0.0 row, and
-one add flushes them into the output. This is exact: registers of
-different channels never mix, each sees its channel's products in tap
-order, and each output element sees one flush per channel, in channel
-order. A tile only decides which output elements are computed
-together, so it leaves every element's float32 sequence, and so the
-bytes, as they are. Against a zeroed register, one that starts from
+a block's registers and its window rows each within `_BLOCK_FLOATS`. It
+walks the output in the fewest tiles of whole output rows that keep one
+channel's registers, one spare row included ((filters + 1) x tile
+pixels), and its window rows (taps x tile pixels) each within
+`_BLOCK_FLOATS`; an output row wider than that gives one-row tiles.
+Where a block holds two or more channels, one tile covers the whole
+output. Rank j of a (channel, filter) register is its (j+1)-th product
+in tap order, kernel row then column. Within a block, registers sit in
+slots ordered by product count, descending, so the registers that take
+more than j products are always the first slots; a few passes over the
+whole stream give every entry its rank and slot, once, whatever the
+tiles. Per tile and block, `run_conv` copies each tap's window rows and
+walks the ranks: rank j is one take of the window rows its entries read,
+one multiply by their weights and one add into that contiguous prefix of
+the registers, and rank 0 is written straight into its registers. Then,
+one channel at a time in channel order, a take puts the channel's
+registers back in filter order, a pair with no product reading the spare
++0.0 row, and one add flushes them into the output. This is exact:
+registers of different channels never mix, each sees its channel's
+products in tap order, and each output element sees one flush per
+channel, in channel order. A tile only decides which output elements are
+computed together, so it leaves every element's float32 sequence, and so
+the bytes, as they are. Against a zeroed register, one that starts from
 its first product p differs only when p is -0.0, and then only in the
 sign of a zero sum. Adding either zero to an output element gives the
 same bytes, because the output starts at +0.0 and round-to-nearest
-addition gives -0.0 only from two -0.0 operands, so it is never -0.0.
-So registers, one rank's products and window rows stay within
+addition gives -0.0 only from two -0.0 operands, so it is never -0.0. So
+registers, one rank's products and window rows stay within
 `_BLOCK_FLOATS`, give or take a block's spare row, unless one output row
 alone exceeds it.
 
@@ -66,8 +66,9 @@ from .layers import LayerSpec, output_shape
 # whole channels as keep its registers (channels x filters x windows)
 # and its window rows (channels x taps x windows) each within it, so on
 # a small plane one take, multiply and add per product rank covers many
-# channels. A one-channel block runs in tiles of whole output rows that
-# keep its registers ((filters + 1) x pixels) and window rows within it
+# channels. The output runs in tiles of whole rows that keep one
+# channel's registers ((filters + 1) x pixels) and window rows within
+# it, which is the whole output wherever a block holds two channels
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -134,21 +135,22 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
                 out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, tile by tile, block by block.
 
-    `out` is (filters, windows). Blocks of whole channels, and tiles of
-    whole output rows where a block is one channel, keep within
-    `_BLOCK_FLOATS`. Registers sit in slots ordered by product count, so
-    rank j of every register is one take of window rows, one multiply
-    and one add into a contiguous prefix of the registers (see the
-    module docstring).
+    `out` is (filters, windows). Blocks of whole channels and tiles of
+    whole output rows keep within `_BLOCK_FLOATS`. Registers sit in
+    slots ordered by product count, so rank j of every register is one
+    take of window rows, one multiply and one add into a contiguous
+    prefix of the registers (see the module docstring).
     """
     out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
     block = min(channels,
                 max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
-    # a one-channel block runs in tiles of whole output rows whose
-    # registers, the spare row included, and window rows fit the budget
-    rows = out_h if block > 1 else min(out_h, max(
+    # tiles of whole output rows whose registers, the spare row included,
+    # and window rows fit the budget. A block of two or more channels
+    # gets every row: the budget then holds twice max(filters, taps)
+    # registers or window rows per output pixel
+    rows = min(out_h, max(
         1, _BLOCK_FLOATS // (max(filters + 1, taps) * out_w)))
     blocks, pairs = -(-channels // block), block * filters
     # each entry's position, channel * taps + tap, and its rank among its

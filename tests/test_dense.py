@@ -150,6 +150,12 @@ def _rand_input(shape, seed):
     return (rng.random(shape) * 2.0 - 1.0).astype(np.float32)
 
 
+# `gate` is the pixel block dense_conv tiles by: at 1 every tile is one
+# output row, off (2^60) the layer is one tile
+_TILES = pytest.mark.parametrize("gate", [1, 1 << 60],
+                                 ids=["gate-1", "gate-off"])
+
+
 @functools.lru_cache(maxsize=None)
 def _paths_case(density):
     """A 16-filter, 3-channel layer, its bank, input and _brute_conv bytes."""
@@ -214,7 +220,8 @@ class TestDenseConv:
                               _brute_conv(x, bank, layer))
 
     def test_pixels_not_a_multiple_of_the_pixel_block(self):
-        # 784 pixels in blocks of 100: seven whole tiles and one of 84
+        # 784 pixels at a pixel block of 100: 3-row tiles, nine of 84
+        # pixels and one of 28
         layer = LayerSpec("fb", "conv", 3, 28, 28, 1, 1, 0, 100)
         bank = random_sparse_filters(layer, 0.5, 1)
         x = _rand_input((3, 28, 28), 2)
@@ -222,7 +229,8 @@ class TestDenseConv:
             assert _matches_plane_conv_bytewise(x, bank, layer)
 
     def test_plane_larger_than_one_tile(self):
-        # 258 x 258 = 66564 output pixels split into 17 pixel blocks
+        # 258 x 258 output pixels in 15-row tiles: 17 of 3870 pixels and
+        # a short last one of 774
         layer = LayerSpec("pb", "conv", 1, 260, 260, 3, 1, 0, 1)
         bank = random_sparse_filters(layer, 1.0, 3)
         x = _rand_input((1, 260, 260), 4)
@@ -230,10 +238,15 @@ class TestDenseConv:
 
     @pytest.mark.parametrize("kernel", [5, 11])
     def test_strided_padded_tiles(self, kernel):
+        # a pixel block of 40 cuts the 16x15 output of the 5x5 kernel
+        # into 2-row tiles and the 13x12 one of the 11x11 kernel into
+        # 3-row tiles and a short last one, each tile's windows starting
+        # two input rows per output row further down
         layer = LayerSpec("sp", "conv", 3, 31, 29, kernel, 2, 2, 70)
         bank = random_sparse_filters(layer, 0.6, kernel)
         x = _rand_input((3, 31, 29), kernel + 1)
-        assert _matches_plane_conv_bytewise(x, bank, layer)
+        with mock.patch.object(dense, "_PIXEL_BLOCK", 40):
+            assert _matches_plane_conv_bytewise(x, bank, layer)
 
     def test_empty_bank(self):
         layer = LayerSpec("e", "conv", 2, 5, 5, 3, 1, 0, 4)
@@ -269,9 +282,10 @@ class TestDenseConv:
     def test_any_tile_size_matches_plane_reference(self, block, side,
                                                    stride, negative_input,
                                                    seed, bank):
-        # pixel blocks of 1 to 200 split small planes into many tiles with
-        # ragged edges; the banks have zeros at single weights, some
-        # stored as -0.0, and the reference multiplies every weight
+        # pixel blocks of 1 to 200 split small planes into tiles of one
+        # to a whole plane's rows, most with a short last tile; the banks
+        # have zeros at single weights, some stored as -0.0, and the
+        # reference multiplies every weight
         filters, channels, kernel, _ = bank.shape
         layer = LayerSpec("t", "conv", channels, side, side, kernel, stride,
                           1, filters)
@@ -282,24 +296,21 @@ class TestDenseConv:
             assert _matches_plane_conv_bytewise(x, bank, layer)
 
     @pytest.mark.parametrize("density", [0.1, 0.7], ids=["d0.1", "d0.7"])
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     def test_partial_sums_for_summed_filters_only(self, gate, density):
-        # a gate of 1 makes every layer large enough to keep partial sums
-        # only for filters with two or more products, a huge one none.
-        # At d0.1 the channels hold filters with none, one and several
-        # products, at d0.7 only filters with several; 7-pixel tiles end
-        # mid-row of the 9-wide output
+        # at d0.1 the channels hold filters with none, one and several
+        # products, at d0.7 only filters with several
         layer = LayerSpec("sel", "conv", 3, 9, 9, 3, 1, 1, 16)
         bank = random_sparse_filters(layer, density, 21)
         products = np.count_nonzero(bank.reshape(16, 3, 9), axis=2)
         kinds = {min(n, 2) for n in products.ravel().tolist()}
         assert kinds == ({0, 1, 2} if density < 0.5 else {2})
         x = _rand_input((3, 9, 9), 22)
-        with mock.patch.multiple(dense, _COMPACT_FLOATS=gate, _PIXEL_BLOCK=7):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
 
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     def test_lone_negative_zero_product(self, gate):
         # filter 0 takes one product per channel, a positive weight on
         # input samples that are -0.0 in channel 1 and in half of channel
@@ -311,27 +322,57 @@ class TestDenseConv:
         bank[1, :, 0, 0] = bank[1, :, 2, 2] = -1.5
         x = np.full((2, 6, 6), -0.0, np.float32)
         x[0, :3] = _rand_input((3, 6), 23)
-        with mock.patch.object(dense, "_COMPACT_FLOATS", gate):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
 
+    def test_lone_and_summed_filters_share_a_tap_in_row_tiles(self):
+        # channel 0's centre tap adds into two output rows and a partial
+        # sum: filters 0 and 2 take their channel's only product there,
+        # filter 1 a second one after tap 0. Their weights are negative
+        # over an input that is +0.0 in its top four rows, so the lone
+        # products there are -0.0. Channel 1 gives filter 0 another lone
+        # product and filter 3 a partial sum of nine. The 7-wide output
+        # runs in 3-row tiles and a short last one of 1 row
+        layer = LayerSpec("mix", "conv", 2, 7, 7, 3, 1, 1, 4)
+        bank = np.zeros((4, 2, 3, 3), np.float32)
+        bank[:3, 0, 1, 1] = [-0.5, -1.5, -2.0]
+        bank[1, 0, 0, 0] = 0.75
+        bank[0, 1, 2, 2] = 1.25
+        bank[3, 1] = _rand_input((3, 3), 35)
+        x = _rand_input((2, 7, 7), 36)
+        x[0, :4] = 0.0
+        with mock.patch.object(dense, "_PIXEL_BLOCK", 21):
+            out = dense_conv(x, bank, layer)
+        assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
+        assert not (np.signbit(out) & (out == 0)).any()
+
+    @pytest.mark.parametrize("density", [0.1, 0.6], ids=["d0.1", "d0.6"])
+    def test_output_row_wider_than_the_pixel_block(self, density):
+        # 4100-pixel output rows, wider than the 4096-pixel block, run in
+        # one-row tiles; d0.1 lists every channel, d0.6 multiplies every
+        # weight
+        layer = LayerSpec("wide", "conv", 2, 3, 4100, 3, 1, 1, 8)
+        assert output_shape(layer)[0] > dense._PIXEL_BLOCK
+        bank = random_sparse_filters(layer, density, 37)
+        x = _rand_input((2, 3, 4100), 38)
+        assert _matches_plane_conv_bytewise(x, bank, layer)
+
     @pytest.mark.parametrize("density", [0.1, 0.5, 1.0],
                              ids=["d0.1", "d0.5", "d1.0"])
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     @pytest.mark.parametrize("share", [0, 2.0], ids=["dense", "listed"])
     def test_dense_and_listed_channels_agree(self, share, gate, density):
         # a share of 0 multiplies every weight of every channel with a
-        # nonzero one, a share of 2.0 lists the pairs of every channel;
-        # the gate picks the listed path's form, and 7-pixel tiles end
-        # mid-row of the 9-wide output
+        # nonzero one, a share of 2.0 lists the pairs of every channel
         layer, bank, x, expected = _paths_case(density)
         with mock.patch.multiple(dense, _DENSE_SHARE=share,
-                                 _COMPACT_FLOATS=gate, _PIXEL_BLOCK=7):
+                                 _PIXEL_BLOCK=gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == expected
 
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     def test_channels_on_both_sides_of_the_dense_share(self, gate):
         # 45 weights per channel, of which 18 are the dense share: the
         # channels hold all 45, 18, 17, one and none, and the zeros are
@@ -349,14 +390,14 @@ class TestDenseConv:
         counts = np.count_nonzero(bank, axis=(0, 2, 3)).tolist()
         assert counts == [45, 18, 17, 1, 0]
         x = _rand_input((5, 7, 7), 26)
-        with mock.patch.object(dense, "_COMPACT_FLOATS", gate):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
 
     @pytest.mark.parametrize("density", [0.1, 0.5, 1.0],
                              ids=["d0.1", "d0.5", "d1.0"])
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     @pytest.mark.parametrize("share", [0, 0.4, 2.0],
                              ids=["dense", "shipped", "listed"])
     @pytest.mark.parametrize("group", [1, 2, 3],
@@ -368,12 +409,11 @@ class TestDenseConv:
         # at once
         layer, bank, x, expected = _paths_case(density)
         with mock.patch.multiple(dense, _GROUP_CELLS=group * 144,
-                                 _DENSE_SHARE=share, _COMPACT_FLOATS=gate,
-                                 _PIXEL_BLOCK=7):
+                                 _DENSE_SHARE=share, _PIXEL_BLOCK=gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == expected
 
-    @pytest.mark.parametrize("gate", [1, 1 << 60], ids=["gate-1", "gate-off"])
+    @_TILES
     def test_dense_and_empty_channels_at_group_edges(self, gate):
         # groups of two channels: channels 0 and 1 are dense, so their
         # group lists nothing; channel 2, first of the next group, is
@@ -392,7 +432,7 @@ class TestDenseConv:
         assert counts == [45, 30, 0, 1, 6, 17, 0]
         x = _rand_input((7, 7, 7), 34)
         with mock.patch.multiple(dense, _GROUP_CELLS=2 * 45,
-                                 _COMPACT_FLOATS=gate, _PIXEL_BLOCK=7):
+                                 _PIXEL_BLOCK=gate):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
 
