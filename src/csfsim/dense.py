@@ -45,13 +45,12 @@ and every (channel, tap) bound, and each channel's flush rows. Every
 index array is numpy's own `intp`, so no fancy index converts its index
 on each use. The groups change no arithmetic.
 
-`dense_conv` and `run_conv` set numpy's ufunc buffer to 128 elements:
-at the default 8192, multiplying rows of a few hundred to 3000 floats by
-a weight column copies the column through the buffer, at 2-4x the cost.
-In `dense_conv` that is each tap's broadcast multiply; in `run_conv` it
-is the rank loop's in-place multiply of the taken window rows by their
-weight column, its only multiply. Rows shorter than about 150 floats
-are the exception: there the default buffer is slightly faster.
+`dense_conv` sets numpy's ufunc buffer to 128 elements: at the default
+8192, multiplying rows of a few hundred to 3000 floats by a weight
+column copies the column through the buffer, at 2-4x the cost. In
+`dense_conv` that is each tap's broadcast multiply. Rows shorter than
+about 150 floats are the exception: there the default buffer is
+slightly faster.
 
 Skipping zero weights is exact, by one rule: a partial sum starts at
 +0.0 and round-to-nearest addition gives -0.0 only when both operands

@@ -45,6 +45,10 @@ registers, one rank's products and window rows stay within
 `_BLOCK_FLOATS`, give or take a block's spare row, unless one output row
 alone exceeds it.
 
+`run_conv` runs under the oracle's 128-element ufunc buffer (see the
+`dense` module docstring) for the rank loop's in-place multiply of the
+taken window rows by their weight column, its only multiply.
+
 Every run also tallies what the hardware would have to move: multiplies
 executed, weight and index fetches (one each per multiply), feature and
 per-position count fetches, and instructions issued. `stack_trace` is

@@ -1,11 +1,10 @@
 """Network description files: a line-oriented [layer] section format.
 
-Each section starts with a "[layer]" header line and carries key=value
-pairs. Conv layers need name, type, in_channels, in_height, in_width,
-kernel, stride, pad and filters; fc layers need only name, type,
-in_channels, in_height, in_width and filters, since their kernel, stride
-and padding are fixed by definition. '#' starts a comment, blank lines are
-ignored, and every diagnostic carries the offending line number.
+Each section starts with a "[layer]" header line and carries one
+key=value pair per key of `_KEYS`. Conv layers need every key; fc layers
+need all but `_CONV_ONLY_KEYS`, since their kernel, stride and padding
+are fixed by definition. '#' starts a comment, blank lines are ignored,
+and every diagnostic carries the offending line number.
 """
 
 from __future__ import annotations
@@ -15,11 +14,20 @@ from pathlib import Path
 
 from .layers import LayerSpec
 
-_COMMON_KEYS = ("name", "type", "in_channels", "in_height", "in_width",
-                "filters")
+# config key -> (LayerSpec field, value type), in the order render writes
+# them and the bundled files use
+_KEYS = {
+    "name": ("name", str),
+    "type": ("kind", str),
+    "in_channels": ("channels", int),
+    "in_height": ("height", int),
+    "in_width": ("width", int),
+    "kernel": ("kernel", int),
+    "stride": ("stride", int),
+    "pad": ("pad", int),
+    "filters": ("filters", int),
+}
 _CONV_ONLY_KEYS = ("kernel", "stride", "pad")
-_ALL_KEYS = frozenset(_COMMON_KEYS + _CONV_ONLY_KEYS)
-_INT_KEYS = frozenset(_ALL_KEYS - {"name", "type"})
 
 
 class ConfigError(ValueError):
@@ -46,27 +54,21 @@ def _build_layer(fields: dict, header_line: int, lines: dict) -> LayerSpec:
     kind = fields["type"]
     if kind not in ("conv", "fc"):
         raise ConfigError(f"unknown type {kind!r}", lines["type"])
-    required = _COMMON_KEYS + (_CONV_ONLY_KEYS if kind == "conv" else ())
-    for key in required:
-        if key not in fields:
+    # the keys every layer needs, in table order, then the conv-only ones
+    for key in _KEYS:
+        if key not in _CONV_ONLY_KEYS and key not in fields:
             raise ConfigError(f"section is missing key {key!r}", header_line)
-    if kind == "fc":
-        for key in _CONV_ONLY_KEYS:
-            if key in fields:
-                raise ConfigError(f"key {key!r} is not allowed for fc layers",
-                                  lines[key])
+    for key in _CONV_ONLY_KEYS:
+        if kind == "conv" and key not in fields:
+            raise ConfigError(f"section is missing key {key!r}", header_line)
+        if kind == "fc" and key in fields:
+            raise ConfigError(f"key {key!r} is not allowed for fc layers",
+                              lines[key])
     try:
-        return LayerSpec(
-            name=fields["name"],
-            kind=kind,
-            channels=fields["in_channels"],
-            height=fields["in_height"],
-            width=fields["in_width"],
-            kernel=fields.get("kernel", 1),
-            stride=fields.get("stride", 1),
-            pad=fields.get("pad", 0),
-            filters=fields["filters"],
-        )
+        # an fc layer's absent keys need only a placeholder: LayerSpec
+        # fixes its kernel, stride and pad
+        return LayerSpec(**{field: fields.get(key)
+                            for key, (field, _) in _KEYS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc), header_line) from exc
 
@@ -108,11 +110,11 @@ def parse_network_config(text: str) -> NetworkConfig:
             raise ConfigError("key=value before any [layer] header", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in fields:
             raise ConfigError(f"duplicate key {key!r} in section", lineno)
-        if key in _INT_KEYS:
+        if _KEYS[key][1] is int:
             try:
                 value = int(value)
             except ValueError:
@@ -142,22 +144,10 @@ def render_network_config(config: NetworkConfig) -> str:
         if layer.name in names:
             raise ValueError(f"duplicate layer name {layer.name!r}")
         names.add(layer.name)
-        lines = [
-            "[layer]",
-            f"name = {layer.name}",
-            f"type = {layer.kind}",
-            f"in_channels = {layer.channels}",
-            f"in_height = {layer.height}",
-            f"in_width = {layer.width}",
-        ]
-        if layer.kind == "conv":
-            lines += [
-                f"kernel = {layer.kernel}",
-                f"stride = {layer.stride}",
-                f"pad = {layer.pad}",
-            ]
-        lines.append(f"filters = {layer.filters}")
-        chunks.append("\n".join(lines))
+        chunks.append("\n".join(["[layer]"] + [
+            f"{key} = {getattr(layer, field)}"
+            for key, (field, _) in _KEYS.items()
+            if layer.kind == "conv" or key not in _CONV_ONLY_KEYS]))
     return "\n\n".join(chunks) + ("\n" if chunks else "")
 
 

@@ -150,9 +150,10 @@ def _rand_input(shape, seed):
     return (rng.random(shape) * 2.0 - 1.0).astype(np.float32)
 
 
-# `gate` is the pixel block dense_conv tiles by: at 1 every tile is one
-# output row, off (2^60) the layer is one tile
-_TILES = pytest.mark.parametrize("gate", [1, 1 << 60],
+# the pixel block dense_conv tiles by: at 1 every tile is one output
+# row, at 2^60 the layer is one tile. The ids are the names these cases
+# had under the deleted compaction gate, kept so the case ids stay stable
+_TILES = pytest.mark.parametrize("pixel_block", [1, 1 << 60],
                                  ids=["gate-1", "gate-off"])
 
 
@@ -297,7 +298,7 @@ class TestDenseConv:
 
     @pytest.mark.parametrize("density", [0.1, 0.7], ids=["d0.1", "d0.7"])
     @_TILES
-    def test_partial_sums_for_summed_filters_only(self, gate, density):
+    def test_partial_sums_for_summed_filters_only(self, pixel_block, density):
         # at d0.1 the channels hold filters with none, one and several
         # products, at d0.7 only filters with several
         layer = LayerSpec("sel", "conv", 3, 9, 9, 3, 1, 1, 16)
@@ -306,12 +307,12 @@ class TestDenseConv:
         kinds = {min(n, 2) for n in products.ravel().tolist()}
         assert kinds == ({0, 1, 2} if density < 0.5 else {2})
         x = _rand_input((3, 9, 9), 22)
-        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
 
     @_TILES
-    def test_lone_negative_zero_product(self, gate):
+    def test_lone_negative_zero_product(self, pixel_block):
         # filter 0 takes one product per channel, a positive weight on
         # input samples that are -0.0 in channel 1 and in half of channel
         # 0; filter 1 takes two, filters 2 and 3 none. A lone product
@@ -322,7 +323,7 @@ class TestDenseConv:
         bank[1, :, 0, 0] = bank[1, :, 2, 2] = -1.5
         x = np.full((2, 6, 6), -0.0, np.float32)
         x[0, :3] = _rand_input((3, 6), 23)
-        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
@@ -363,17 +364,18 @@ class TestDenseConv:
                              ids=["d0.1", "d0.5", "d1.0"])
     @_TILES
     @pytest.mark.parametrize("share", [0, 2.0], ids=["dense", "listed"])
-    def test_dense_and_listed_channels_agree(self, share, gate, density):
+    def test_dense_and_listed_channels_agree(self, share, pixel_block,
+                                             density):
         # a share of 0 multiplies every weight of every channel with a
         # nonzero one, a share of 2.0 lists the pairs of every channel
         layer, bank, x, expected = _paths_case(density)
         with mock.patch.multiple(dense, _DENSE_SHARE=share,
-                                 _PIXEL_BLOCK=gate):
+                                 _PIXEL_BLOCK=pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == expected
 
     @_TILES
-    def test_channels_on_both_sides_of_the_dense_share(self, gate):
+    def test_channels_on_both_sides_of_the_dense_share(self, pixel_block):
         # 45 weights per channel, of which 18 are the dense share: the
         # channels hold all 45, 18, 17, one and none, and the zeros are
         # -0.0 or +0.0 alike
@@ -390,7 +392,7 @@ class TestDenseConv:
         counts = np.count_nonzero(bank, axis=(0, 2, 3)).tolist()
         assert counts == [45, 18, 17, 1, 0]
         x = _rand_input((5, 7, 7), 26)
-        with mock.patch.object(dense, "_PIXEL_BLOCK", gate):
+        with mock.patch.object(dense, "_PIXEL_BLOCK", pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
@@ -402,19 +404,19 @@ class TestDenseConv:
                              ids=["dense", "shipped", "listed"])
     @pytest.mark.parametrize("group", [1, 2, 3],
                              ids=["group-1", "group-2", "group-3"])
-    def test_channel_groups_agree(self, group, share, gate, density):
+    def test_channel_groups_agree(self, group, share, pixel_block, density):
         # a channel holds 16 filters x 9 taps = 144 cells: budgets of one,
         # two and three channels' cells list the 3 channels one at a
         # time, as a group of two and a short last group of one, and all
         # at once
         layer, bank, x, expected = _paths_case(density)
         with mock.patch.multiple(dense, _GROUP_CELLS=group * 144,
-                                 _DENSE_SHARE=share, _PIXEL_BLOCK=gate):
+                                 _DENSE_SHARE=share, _PIXEL_BLOCK=pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == expected
 
     @_TILES
-    def test_dense_and_empty_channels_at_group_edges(self, gate):
+    def test_dense_and_empty_channels_at_group_edges(self, pixel_block):
         # groups of two channels: channels 0 and 1 are dense, so their
         # group lists nothing; channel 2, first of the next group, is
         # empty, and so is channel 6, alone in the short last group.
@@ -432,7 +434,7 @@ class TestDenseConv:
         assert counts == [45, 30, 0, 1, 6, 17, 0]
         x = _rand_input((7, 7, 7), 34)
         with mock.patch.multiple(dense, _GROUP_CELLS=2 * 45,
-                                 _PIXEL_BLOCK=gate):
+                                 _PIXEL_BLOCK=pixel_block):
             out = dense_conv(x, bank, layer)
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
 

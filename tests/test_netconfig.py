@@ -93,6 +93,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="not allowed for fc"):
             parse_network_config(text)
 
+    @pytest.mark.parametrize("text,key", [
+        ("[layer]\nname = C\ntype = conv\nin_channels = 2\nin_height = 4\n"
+         "in_width = 4\n", "filters"),
+        ("[layer]\nname = F\ntype = fc\nin_channels = 2\nin_height = 2\n"
+         "in_width = 2\nkernel = 3\n", "filters"),
+        ("[layer]\nname = F\ntype = fc\nkernel = 3\n", "in_channels"),
+    ], ids=["conv-without-kernel-or-filters", "fc-with-kernel",
+            "fc-with-only-kernel"])
+    def test_first_of_several_faults_reported(self, text, key):
+        # keys every layer needs are checked in render order, then the
+        # conv-only keys: missing for conv, present for fc
+        with pytest.raises(ConfigError) as err:
+            parse_network_config(text)
+        assert str(err.value) == f"line 1: section is missing key {key!r}"
+
     def test_key_before_header(self):
         with pytest.raises(ConfigError, match="before any"):
             parse_network_config("name = X\n" + ALEXNET_CONV1)
@@ -182,7 +197,12 @@ class TestBundledConfigs:
         assert len(config.layers) == layer_count
         names = [layer.name for layer in config]
         assert len(set(names)) == len(names)
-        assert parse_network_config(render_network_config(config)) == config
+        # past its leading comment block, the file is byte for byte what
+        # render writes for it
+        comment, _, body = text.partition("\n\n")
+        assert all(line.startswith("#") for line in comment.splitlines())
+        assert body == render_network_config(config)
+        assert parse_network_config(body) == config
 
     def test_alexnet_macs(self):
         text = resources.files("csfsim").joinpath(
