@@ -153,9 +153,10 @@ def _ulp_key(value) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFFFFFF)
 
 
-def _first_mismatch(expected: np.ndarray, actual: np.ndarray) -> str:
-    """Where two same-shape (filter, y, x) outputs first differ, and by how much."""
-    f, y, x = np.unravel_index(np.argmax(actual != expected), actual.shape)
+def _first_mismatch(expected: np.ndarray, actual: np.ndarray,
+                    mismatch: np.ndarray) -> str:
+    """Where the mask `mismatch` first marks two outputs, and by how much."""
+    f, y, x = np.unravel_index(np.argmax(mismatch), actual.shape)
     want, got = expected[f, y, x], actual[f, y, x]
     ulps = abs(_ulp_key(want) - _ulp_key(got))
     return (f"; first mismatch at (filter {f}, y {y}, x {x}): expected "
@@ -178,10 +179,12 @@ def _verify_layer(layer: LayerSpec, layer_seed: int, args) -> bool:
         bank = bank.copy()
         bank[0, 0, 0, 0] += 1.0
     actual, trace = run_layer_batched(bank, features, layer, args.batch_size)
-    exact = actual.shape == expected.shape and np.array_equal(actual, expected)
+    # bytes, not values: -0.0 == +0.0 would pass a sign-of-zero defect
+    mismatch = actual.view(np.uint32) != expected.view(np.uint32)
+    exact = actual.shape == expected.shape and not mismatch.any()
     deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
     verdict = "PASS" if exact else "FAIL"
-    where = "" if exact else _first_mismatch(expected, actual)
+    where = "" if exact else _first_mismatch(expected, actual, mismatch)
     print(f"{layer.name}: {verdict} (max abs deviation {deviation:.3e}, "
           f"{trace.macs_executed} macs{where})")
     return exact

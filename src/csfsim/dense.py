@@ -2,10 +2,10 @@
 
 These oracles and the streaming engine must agree bit for bit, so the
 accumulation discipline is pinned down: channels outermost, then kernel row,
-then kernel column. CONV keeps one float32 partial sum per channel per
-output element (the engine flushes its register file into the output buffer
-once per channel); FC keeps a single flat running sum per output, walking
-the input in stream order.
+then kernel column, one float32 partial sum per channel per output element
+(the engine flushes its registers once per channel). FC is this rule on a
+1x1 plane whose channels are the flattened input: by the zero rule below,
+each product is its channel's partial sum, so outputs sum in input order.
 
 `dense_conv` walks the output in tiles of whole output rows, as many
 as fit `_PIXEL_BLOCK` pixels and at least one, and gives each tile one
@@ -52,7 +52,7 @@ column copies the column through the buffer, at 2-4x the cost. In
 about 150 floats are the exception: there the default buffer is
 slightly faster.
 
-Skipping zero weights is exact, by one rule: a partial sum starts at
+The zero rule makes skipping zero weights exact: a partial sum starts at
 +0.0 and round-to-nearest addition gives -0.0 only when both operands
 are -0.0, so a partial is never -0.0. Inputs are finite (`as_f32`
 rejects NaN and Inf), so a zero weight's product is +-0.0, and adding
@@ -278,7 +278,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
 
 
 def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
-    """Full dot product per filter, accumulated in input stream order.
+    """The conv rule's fast case on a 1x1 plane: products in input order.
 
     Weights have shape (filters, C, H, W); output is (filters, 1, 1).
     """

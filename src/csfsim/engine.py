@@ -36,14 +36,11 @@ registers of different channels never mix, each sees its channel's
 products in tap order, and each output element sees one flush per
 channel, in channel order. A tile only decides which output elements are
 computed together, so it leaves every element's float32 sequence, and so
-the bytes, as they are. Against a zeroed register, one that starts from
-its first product p differs only when p is -0.0, and then only in the
-sign of a zero sum. Adding either zero to an output element gives the
-same bytes, because the output starts at +0.0 and round-to-nearest
-addition gives -0.0 only from two -0.0 operands, so it is never -0.0. So
-registers, one rank's products and window rows stay within
-`_BLOCK_FLOATS`, give or take a block's spare row, unless one output row
-alone exceeds it.
+the bytes, as they are. A register that starts from its first product
+instead of +0.0 gives the same bytes, by the zero rule in the `dense`
+module docstring. Registers, one rank's products and window rows stay
+within `_BLOCK_FLOATS`, give or take a block's spare row, unless one
+output row alone exceeds it.
 
 `run_conv` runs under the oracle's 128-element ufunc buffer (see the
 `dense` module docstring) for the rank loop's in-place multiply of the
@@ -250,10 +247,10 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
 def run_fc(stream: CsfStream, features):
     """Execute an fc stream over one input; returns (output, counters).
 
-    The input may have any shape whose flattened length matches the stream.
-    Output is (filters, 1, 1), each element one flat running sum walked in
-    input stream order: np.add.at applies the products in entry order,
-    which is position order.
+    The conv rule's fast case on a 1x1 plane (see the `dense` module
+    docstring): np.add.at applies the products in entry order, which is
+    input stream order. The input may have any shape whose flattened
+    length matches the stream. Output is (filters, 1, 1).
     """
     if stream.profile != "fc":
         raise ValueError("run_fc needs an fc stream")

@@ -334,21 +334,50 @@ class TestVerify:
             "CONV1: PASS (max abs deviation 0.000e+00, 91584 macs)")
         assert out.splitlines()[-1] == "3/4 layers passed"
 
+    def test_sign_of_zero_fails(self, capsys, monkeypatch):
+        # -0.0 == +0.0 holds, so only a byte comparison sees this defect
+        real = csfsim.cli.run_layer_batched
+
+        def negative_zero_at_origin(bank, features, layer, batch_size):
+            out, trace = real(bank, features, layer, batch_size)
+            if layer.name == "CONV1":
+                out[0, 0, 0] = -0.0
+            return out, trace
+
+        monkeypatch.setattr(csfsim.cli, "run_layer_batched",
+                            negative_zero_at_origin)
+        code, out, _ = run(capsys, "verify", "lenet", "--density", "0")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "CONV1: FAIL (max abs deviation 0.000e+00, 0 macs; first "
+            "mismatch at (filter 0, y 0, x 0): expected 0, actual -0, 0 ulp)")
+        assert out.splitlines()[-1] == "3/4 layers passed"
+
     def test_first_mismatch_location_and_ulps(self):
+        def where(expected, actual):
+            return _first_mismatch(expected, actual, actual.view(np.uint32)
+                                   != expected.view(np.uint32))
+
         expected = np.zeros((2, 3, 4), np.float32)
         actual = expected.copy()
         actual[1, 2, 3] = 5.0
         actual[1, 0, 2] = np.nextafter(np.float32(0), np.float32(-1))
         # the smallest negative subnormal is one step below zero
-        assert _first_mismatch(expected, actual) == (
+        assert where(expected, actual) == (
             "; first mismatch at (filter 1, y 0, x 2): expected 0, "
             "actual -1.40129846e-45, 1 ulp")
         one = np.ones((1, 1, 1), np.float32)
-        assert _first_mismatch(one, np.nextafter(one, np.float32(2))).endswith(
+        assert where(
+            one, np.nextafter(one, np.float32(2))).endswith(
             "expected 1, actual 1.00000012, 1 ulp")
         # across zero the distance counts the steps on both sides
         tiny = np.full((1, 1, 1), 2.8e-45, np.float32)
-        assert _first_mismatch(tiny, -tiny).endswith("4 ulp")
+        assert where(tiny, -tiny).endswith("4 ulp")
+        # a mask that marks a later element first names that element
+        mask = np.zeros(expected.shape, bool)
+        mask[1, 2, 3] = True
+        assert _first_mismatch(expected, actual, mask).startswith(
+            "; first mismatch at (filter 1, y 2, x 3): expected 0, actual 5,")
 
     def test_density_zero_trivially_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "lenet", "--density", "0",

@@ -22,6 +22,11 @@ def _fc_stream(bank):
     return encode_csf(stack_filters(bank, 0, bank.shape[0]), "fc")
 
 
+def _same_bytes(a, b):
+    """Equal shapes and bytes; unlike ==, tells -0.0 from +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestRunFc:
     def test_empty_stream_zero_output(self):
         layer = LayerSpec("e", "fc", 2, 3, 3, 1, 1, 0, 5)
@@ -45,7 +50,7 @@ class TestRunFc:
         bank = random_sparse_filters(layer, 0.3, 6)
         x = _rand_input((2, 4, 4), 7)
         out, trace = run_fc(_fc_stream(bank), x)
-        assert np.array_equal(out, dense_fc(x, bank, layer))
+        assert _same_bytes(out, dense_fc(x, bank, layer))
         assert trace.macs_executed == np.count_nonzero(bank)
         assert trace.feature_loads == trace.pointer_loads == 32
         assert trace.simd_instructions == 32
@@ -59,6 +64,29 @@ class TestRunFc:
         bank = np.zeros((5, 2, 3, 3), np.float32)
         with pytest.raises(ValueError, match="fc stream"):
             run_fc(_conv_stream(bank), np.ones((2, 3, 3), np.float32))
+
+
+class TestFcIsConvOnOnePixel:
+    """FC is the conv rule on a 1x1 plane whose channels are the input."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("fc", [
+        LayerSpec("FC1", "fc", 50, 4, 4, 1, 1, 0, 500),  # lenet's
+        LayerSpec("FC2", "fc", 500, 1, 1, 1, 1, 0, 10),
+        LayerSpec("odd", "fc", 5, 3, 2, 1, 1, 0, 11)], ids=lambda l: l.name)
+    def test_bytes_and_counters(self, fc, density):
+        n = fc.channels * fc.height * fc.width
+        conv = LayerSpec(fc.name, "conv", n, 1, 1, 1, 1, 0, fc.filters)
+        bank = random_sparse_filters(fc, density, 90)
+        x = _rand_input((fc.channels, fc.height, fc.width), 91)
+        plane_bank, plane_x = bank.reshape(-1, n, 1, 1), x.reshape(n, 1, 1)
+        assert _same_bytes(dense_fc(x, bank, fc),
+                           dense_conv(plane_x, plane_bank, conv))
+        out, trace = run_layer_batched(bank, x, fc, 64)
+        plane_out, plane_trace = run_layer_batched(plane_bank, plane_x, conv,
+                                                   64)
+        assert _same_bytes(out, plane_out)
+        assert vars(trace) == vars(plane_trace)
 
 
 class TestSimd3dStep:
@@ -107,8 +135,8 @@ class TestSimd3dStep:
         ctx = EngineContext(layer, stream, x)
         scalar = ctx.run()
         vectorized, trace = run_conv(stream, x, layer)
-        assert np.array_equal(scalar, vectorized)
-        assert np.array_equal(scalar, dense_conv(x, bank, layer))
+        assert _same_bytes(scalar, vectorized)
+        assert _same_bytes(scalar, dense_conv(x, bank, layer))
         assert vars(ctx.counters) == vars(trace)
 
 
@@ -126,7 +154,7 @@ class TestRunConv:
         bank = random_sparse_filters(layer, density, 21)
         x = _rand_input((4, 8, 8), 22)
         out, _ = run_conv(_conv_stream(bank), x, layer)
-        assert np.array_equal(out, dense_conv(x, bank, layer))
+        assert _same_bytes(out, dense_conv(x, bank, layer))
 
     @pytest.mark.parametrize("kernel, empty_tap", [(5, 0), (11, 120)])
     def test_block_ranks_skip_empty_positions(self, kernel, empty_tap):
@@ -204,7 +232,7 @@ class TestRunLayerBatched:
         x = _rand_input((3, 8, 8), 51)
         whole, t_whole = run_conv(_conv_stream(bank), x, layer)
         batched, t_batched = run_layer_batched(bank, x, layer, 8)
-        assert np.array_equal(whole, batched)
+        assert _same_bytes(whole, batched)
         assert vars(t_whole) == vars(t_batched)
 
     def test_ceiling_split_shapes(self):
@@ -220,14 +248,14 @@ class TestRunLayerBatched:
         bank = random_sparse_filters(layer, 0.5, 21)
         x = _rand_input((3, 10, 10), 22)
         out, _ = run_layer_batched(bank, x, layer, batch)
-        assert np.array_equal(out, dense_conv(x, bank, layer))
+        assert _same_bytes(out, dense_conv(x, bank, layer))
 
     def test_single_filter_batches_fc(self):
         layer = LayerSpec("1", "fc", 2, 3, 3, 1, 1, 0, 7)
         bank = random_sparse_filters(layer, 0.6, 70)
         x = _rand_input((2, 3, 3), 71)
         out, _ = run_layer_batched(bank, x, layer, 1)
-        assert np.array_equal(out, dense_fc(x, bank, layer))
+        assert _same_bytes(out, dense_fc(x, bank, layer))
 
     @pytest.mark.parametrize("kind,oracle,shape", [
         ("conv", dense_conv, (0, 3, 3)), ("fc", dense_fc, (0, 1, 1))])

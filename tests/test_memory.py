@@ -62,9 +62,7 @@ def test_dense_conv_scratch_stays_near_the_output():
     # filter, 2 MiB), the padded input (0.6 MiB), the tile's window rows
     # and one tap's products traced at 3.13 MiB. Partial sums over the
     # whole plane would not fit, and neither would a tile of dense
-    # products (1 MiB) made up front, as no channel is dense. Window
-    # rows over the whole plane (1.7 MiB) with a separate partial-sum
-    # tile traced at 3.60 MiB
+    # products (1 MiB) made up front, as no channel is dense
     out, peak = _dense_conv_conv1_1_peak(0.1)
     assert peak <= out.nbytes + 3.5 * MB
 
@@ -73,9 +71,7 @@ def test_dense_conv_scratch_stays_near_the_output():
 def test_dense_conv_scratch_of_dense_channels(density):
     # the same layer with every channel dense: one tile of products (1
     # MiB) beside the accumulator, the window rows and the padded input
-    # traced at 3.69 MiB. Whole-plane window rows took 4.31 MiB, and
-    # listing the pairs of these channels 4.54 MiB at d0.5 and 5.33 MiB
-    # at d1.0
+    # traced at 3.69 MiB
     out, peak = _dense_conv_conv1_1_peak(density)
     assert peak <= out.nbytes + 4 * MB
 
@@ -85,8 +81,8 @@ def test_dense_conv_lists_one_channel_group_at_a_time():
     # dense share, so the listing is at its largest. The output is 1.5
     # MiB and one tile: its accumulator (3 MiB, the output rows
     # included), the padded input (0.9 MiB), the window rows and one
-    # group of channels' listing traced at 4.16 MiB. Channel by channel
-    # it took 3.92 MiB, and one listing for the whole layer 28.3 MiB
+    # group of channels' listing traced at 4.16 MiB. One listing for the
+    # whole layer would take 28.3 MiB
     layer = LayerSpec("CONV4-1", "conv", 256, 28, 28, 3, 1, 1, 512)
     bank = random_sparse_filters(layer, 0.35, 2)
     features = np.random.default_rng(1).random((256, 28, 28), np.float32)
@@ -124,15 +120,14 @@ def test_run_conv_tiles_a_large_channel():
     # 18 output rows: one tile's registers and one channel's flush take
     # a budget (4 x _BLOCK_FLOATS bytes, 1 MiB) each, and with the padded
     # input (0.6 MiB) and the window rows scratch traced at 3.0 MiB at
-    # d0.1. Channel by channel with 4 MiB register tiles it took 6.25 MiB
+    # d0.1
     out, peak = _run_conv_conv1_1_peak(0.1)
     assert peak <= out.nbytes + 3.25 * 4 * engine._BLOCK_FLOATS
 
 
 def test_run_conv_tiles_a_large_channel_at_half_density():
     # the same stack at d0.5: one rank's products add up to a budget
-    # more, and scratch traced at 3.7 MiB. Channel by channel with 4 MiB
-    # register tiles it took 9.14 MiB
+    # more, and scratch traced at 3.7 MiB
     out, peak = _run_conv_conv1_1_peak(0.5)
     assert peak <= out.nbytes + 4 * 4 * engine._BLOCK_FLOATS
 
@@ -153,9 +148,8 @@ def test_run_conv_blocks_hold_one_block_of_registers():
 
 def test_run_conv_block_set_up_stays_small_at_half_density():
     # the same stack at d0.5 holds five times the entries: with the
-    # ranks and slots of all 147K entries, scratch traced at 5.7 MiB.
-    # A tap-major regroup of the entries, the earlier design, took 6.66
-    # MiB, and a set-up holding one more int64 array per entry 7.9 MiB
+    # ranks and slots of all 147K entries, scratch traced at 5.7 MiB. A
+    # set-up holding one more int64 array per entry would take 7.9 MiB
     layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
     stream = encode_csf(
         stack_filters(random_sparse_filters(layer, 0.5, 2), 0, 64), "conv")
@@ -182,8 +176,8 @@ def test_decode_writes_the_bank_it_decoded(tmp_path):
 def test_encode_peaks_near_three_banks(tmp_path):
     # VGG16 CONV5-1 at d0.1: the bank bytes read and the stacked copy
     # are two banks and the nonzero mask a quarter of one; an int64
-    # array over the 236K nonzeros is a fifth. An encode that held about
-    # eight int64 or bool arrays per nonzero at once peaked at 3.9 banks
+    # array over the 236K nonzeros is a fifth. Holding about eight int64
+    # or bool arrays per nonzero at once would peak at 3.9 banks
     layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
     bank = random_sparse_filters(layer, 0.1, 1)
     bank_path = tmp_path / "bank"
