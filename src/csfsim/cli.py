@@ -179,9 +179,13 @@ def _verify_layer(layer: LayerSpec, layer_seed: int, args) -> bool:
         bank = bank.copy()
         bank[0, 0, 0, 0] += 1.0
     actual, trace = run_layer_batched(bank, features, layer, args.batch_size)
+    if actual.shape != expected.shape:
+        print(f"{layer.name}: FAIL ({trace.macs_executed} macs; output shape "
+              f"{actual.shape}, expected {expected.shape})")
+        return False
     # bytes, not values: -0.0 == +0.0 would pass a sign-of-zero defect
     mismatch = actual.view(np.uint32) != expected.view(np.uint32)
-    exact = actual.shape == expected.shape and not mismatch.any()
+    exact = not mismatch.any()
     deviation = float(np.max(np.abs(actual - expected))) if not exact else 0.0
     verdict = "PASS" if exact else "FAIL"
     where = "" if exact else _first_mismatch(expected, actual, mismatch)
@@ -205,31 +209,22 @@ class _Section(NamedTuple):
 
     title: str
     headers: list       # text columns between layer and note
-    columns: list       # csv columns, one per cell
+    columns: list       # the plan's fields, one csv column and cell each
     text_cells: Callable  # cells as the text table shows them
     results: list       # per layer: (cells, note); cells None if infeasible
 
 
-def _division(layer: LayerSpec, budget: int, tile):
-    plan = plan_feature_division(layer, budget, tile=tile)
-    return [plan.grid_h, plan.grid_w, plan.load_times,
-            plan.dense_weight_count, plan.total_weights_loaded], None
-
-
-def _grouping(layer: LayerSpec, budget: int):
-    plan = plan_filter_grouping(layer, budget)
-    return [plan.batch_size, plan.batches, plan.feature_count,
-            plan.total_features_loaded], plan.note
-
-
-def _resolve(config, planner, *plan_args) -> list:
-    """The planner's (cells, note) per layer, (None, note) if infeasible."""
+def _resolve(config, columns, planner, *plan_args) -> list:
+    """Per layer the plan's `columns` fields and its note, or (None, note)."""
     results = []
     for layer in config:
         try:
-            results.append(planner(layer, *plan_args))
+            plan = planner(layer, *plan_args)
         except PlanError as exc:
             results.append((None, f"infeasible: {exc}"))
+        else:
+            results.append(([getattr(plan, c) for c in columns],
+                            getattr(plan, "note", None)))
     return results
 
 
@@ -239,19 +234,21 @@ def _plan_sections(config, args) -> list[_Section]:
     if args.div_budget is not None:
         tile = None if args.budget_max else args.tile
         mode = f"tile {tile}" if tile is not None else "largest tile in budget"
+        columns = ["grid_h", "grid_w", "load_times", "filter_weights",
+                   "total_weights_loaded"]
         sections.append(_Section(
             f"feature division (output buffer budget {args.div_budget}, {mode})",
             ["grid", "load times", "filter weights", "total weights loaded"],
-            ["grid_h", "grid_w", "load_times", "filter_weights",
-             "total_weights_loaded"],
-            lambda cells: [f"{cells[0]}x{cells[1]}", *cells[2:]],
-            _resolve(config, _division, args.div_budget, tile)))
+            columns, lambda cells: [f"{cells[0]}x{cells[1]}", *cells[2:]],
+            _resolve(config, columns, plan_feature_division,
+                     args.div_budget, tile)))
     if args.grp_budget is not None:
+        columns = ["batch_size", "batches", "features", "total_features_loaded"]
         sections.append(_Section(
             f"filter grouping (output buffer budget {args.grp_budget})",
             ["batch size", "batches", "features", "total features loaded"],
-            ["batch_size", "batches", "features", "total_features_loaded"],
-            list, _resolve(config, _grouping, args.grp_budget)))
+            columns, list,
+            _resolve(config, columns, plan_filter_grouping, args.grp_budget)))
     return sections
 
 
@@ -303,13 +300,13 @@ def _cmd_plan(args) -> int:
 def _cmd_macs(args) -> int:
     config = _load_config(args.config)
     headers = ["layer", "kind", "macs", "millions"]
-    rows = [[layer.name, layer.kind, mac_count(layer),
-             f"{mac_count(layer) / 1e6:.4f}"] for layer in config]
+    counts = [mac_count(layer) for layer in config]
+    rows = [[layer.name, layer.kind, macs, f"{macs / 1e6:.4f}"]
+            for layer, macs in zip(config, counts)]
     if args.csv:
         _write_csv(headers, rows)
         return 0
-    total = sum(mac_count(layer) for layer in config)
-    rows.append(["total", "", total, f"{total / 1e6:.4f}"])
+    rows.append(["total", "", sum(counts), f"{sum(counts) / 1e6:.4f}"])
     _print_table(headers, rows)
     return 0
 
@@ -324,7 +321,7 @@ def _cmd_report(args) -> int:
         macs_millions = trace.macs_executed / 1e6
         ms = predict_runtime(trace, params)
         eff = efficiency_per_pe(macs_millions, ms, params.efficiency_divisor)
-        perf_rows.append([layer.name, layer.kind, mac_count(layer),
+        perf_rows.append([layer.name, layer.kind, trace.macs_executed,
                           f"{macs_millions:.4f}", f"{ms:.4f}", f"{eff:.4f}"])
     sections = _plan_sections(config, args)
     if args.csv:

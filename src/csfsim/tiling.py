@@ -6,7 +6,8 @@ input tiles overlap by a halo of kernel minus stride rows and columns.
 Filter grouping instead splits the filter bank into batches whose full
 output planes fit the buffer; every batch re-streams the whole input.
 Both planners report the resulting reload traffic so the strategies can
-be compared per layer.
+be compared per layer. Each plan field but `note` is the column of the
+same name in `plan --csv`.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ class PlanError(ValueError):
 class DivisionPlan:
     """A tiling of the output plane plus its weight-reload accounting.
 
-    tile_out_* are the nominal output tile extents the planner chose;
-    tiles in the last grid row or column are smaller when the output plane
+    Tiles in the last grid row or column are smaller when the output plane
     does not divide evenly. Every tile reloads the whole dense filter bank.
     """
 
     grid_h: int
     grid_w: int
-    tile_out_h: int
-    tile_out_w: int
     load_times: int
-    dense_weight_count: int
+    filter_weights: int
     total_weights_loaded: int
 
 
@@ -45,7 +43,7 @@ class GroupingPlan:
 
     batch_size: int
     batches: int
-    feature_count: int
+    features: int
     total_features_loaded: int
     note: str | None = None
 
@@ -85,20 +83,18 @@ def plan_feature_division(layer: LayerSpec, budget: int,
     grid_h = -(-out_h // eff_h)
     grid_w = -(-out_w // eff_w)
     load_times = grid_h * grid_w
-    dense_weights = math.prod(layer.bank_shape)
+    filter_weights = math.prod(layer.bank_shape)
     return DivisionPlan(
         grid_h=grid_h,
         grid_w=grid_w,
-        tile_out_h=eff_h,
-        tile_out_w=eff_w,
         load_times=load_times,
-        dense_weight_count=dense_weights,
-        total_weights_loaded=load_times * dense_weights,
+        filter_weights=filter_weights,
+        total_weights_loaded=load_times * filter_weights,
     )
 
 
 # rows where a published grouping table disagrees with its own batch formula,
-# keyed by (channels, height, width, filters, feature_count) with the values
+# keyed by (channels, height, width, filters, features) with the values
 # it prints for (batches, total features loaded)
 _PUBLISHED_GROUPING_ROWS = {
     (256, 28, 28, 512, 200704): (1, 200704),
@@ -116,11 +112,11 @@ def plan_filter_grouping(layer: LayerSpec, budget: int) -> GroupingPlan:
         )
     batch = min(layer.filters, budget // plane)
     batches = -(-layer.filters // batch)
-    feature_count = layer.channels * layer.height * layer.width
-    key = (layer.channels, layer.height, layer.width, layer.filters, feature_count)
+    features = layer.channels * layer.height * layer.width
+    key = (layer.channels, layer.height, layer.width, layer.filters, features)
     note = None
     published = _PUBLISHED_GROUPING_ROWS.get(key)
-    if published is not None and published != (batches, batches * feature_count):
+    if published is not None and published != (batches, batches * features):
         note = (
             f"published figures list {published[0]} batches / {published[1]} "
             f"features loaded, inconsistent with {layer.filters} filters at "
@@ -129,7 +125,7 @@ def plan_filter_grouping(layer: LayerSpec, budget: int) -> GroupingPlan:
     return GroupingPlan(
         batch_size=batch,
         batches=batches,
-        feature_count=feature_count,
-        total_features_loaded=batches * feature_count,
+        features=features,
+        total_features_loaded=batches * features,
         note=note,
     )

@@ -1,6 +1,7 @@
 """Command line surface: files, subcommands, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import os
 import struct
@@ -16,6 +17,7 @@ from csfsim import (CsfStream, LayerSpec, deserialize_csf, quantize_shift,
                     random_sparse_filters, serialize_csf)
 from csfsim.cli import (_build_parser, _first_mismatch, main,
                         read_weight_bank, write_weight_bank)
+from csfsim.tiling import DivisionPlan, GroupingPlan
 
 
 # Complete outputs, pinned byte for byte: the note column's right
@@ -353,6 +355,22 @@ class TestVerify:
             "mismatch at (filter 0, y 0, x 0): expected 0, actual -0, 0 ulp)")
         assert out.splitlines()[-1] == "3/4 layers passed"
 
+    def test_wrong_shaped_output_fails_that_layer(self, capsys, monkeypatch):
+        real = csfsim.cli.run_layer_batched
+
+        def drops_last_filter(bank, features, layer, batch_size):
+            out, trace = real(bank, features, layer, batch_size)
+            return (out[:-1] if layer.name == "CONV1" else out), trace
+
+        monkeypatch.setattr(csfsim.cli, "run_layer_batched", drops_last_filter)
+        code, out, err = run(capsys, "verify", "lenet", "--density", "0.3")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == ("CONV1: FAIL (74304 macs; output shape "
+                            "(19, 24, 24), expected (20, 24, 24))")
+        assert all(": PASS (" in line for line in lines[1:4])
+        assert lines[-1] == "3/4 layers passed"
+
     def test_first_mismatch_location_and_ulps(self):
         def where(expected, actual):
             return _first_mismatch(expected, actual, actual.view(np.uint32)
@@ -460,6 +478,14 @@ class TestPlan:
         assert rows[1][:7] == ["CONV1-1", "conv", "16", "16", "256", "1728",
                                "442368"]
         assert len(rows) == 14
+
+    def test_csv_plan_columns_are_the_plan_fields(self, capsys):
+        # a renamed plan field or csv column fails here
+        _, out, _ = run(capsys, "plan", "lenet", "--div-budget", "100352",
+                        "--grp-budget", "200704", "--csv")
+        fields = [f.name for plan in (DivisionPlan, GroupingPlan)
+                  for f in dataclasses.fields(plan) if f.name != "note"]
+        assert out.splitlines()[0].split(",")[2:-1] == fields
 
     def test_budget_max_mode(self, capsys):
         code, out, _ = run(capsys, "plan", "vgg16", "--div-budget", "100352",

@@ -16,7 +16,7 @@ class TestPlanFeatureDivision:
                                      tile=14)
         assert (plan.grid_h, plan.grid_w) == (16, 16)
         assert plan.load_times == 256
-        assert plan.dense_weight_count == 1728
+        assert plan.filter_weights == 1728
         assert plan.total_weights_loaded == 442_368
 
     def test_last_reference_row(self):
@@ -29,13 +29,15 @@ class TestPlanFeatureDivision:
         layer = vgg_layer("s", 4, 10, 8)
         plan = plan_feature_division(layer, budget=8 * 100 + 50, tile=None)
         assert (plan.grid_h, plan.grid_w) == (1, 1)
-        assert plan.total_weights_loaded == plan.dense_weight_count
+        assert plan.total_weights_loaded == plan.filter_weights
 
     def test_budget_max_picks_largest_square(self):
         layer = vgg_layer("m", 4, 32, 8)
         plan = plan_feature_division(layer, budget=8 * 7 * 7, tile=None)
-        assert (plan.tile_out_h, plan.tile_out_w) == (7, 7)
-        assert plan.tile_out_h ** 2 * 8 <= 8 * 7 * 7
+        # 7x7 tiles: a 32-px output plane needs ceil(32 / 7) = 5 per side
+        assert (plan.grid_h, plan.grid_w) == (5, 5)
+        with pytest.raises(PlanError, match="budget"):
+            plan_feature_division(layer, budget=8 * 7 * 7, tile=8)
 
     def test_infeasible_tile(self):
         with pytest.raises(PlanError, match="budget"):
@@ -51,9 +53,11 @@ class TestPlanFeatureDivision:
 
     def test_tile_clipped_to_small_plane(self):
         layer = LayerSpec("t", "conv", 4, 13, 13, 3, 1, 1, 8)
-        plan = plan_feature_division(layer, 10 ** 6, tile=14)
-        assert (plan.tile_out_h, plan.tile_out_w) == (13, 13)
+        # a 14-px tile is cut to the 13x13 plane, so 13 * 13 * 8 fits
+        plan = plan_feature_division(layer, 13 * 13 * 8, tile=14)
         assert (plan.grid_h, plan.grid_w) == (1, 1)
+        with pytest.raises(PlanError, match="13x13 output tiles"):
+            plan_feature_division(layer, 13 * 13 * 8 - 1, tile=14)
 
     def test_edge_tiles_shrink(self):
         layer = LayerSpec("e", "conv", 2, 13, 17, 3, 2, 1, 4)
@@ -83,7 +87,7 @@ class TestPlanFilterGrouping:
         plan = plan_filter_grouping(vgg_layer("c11", 3, 224, 64), 200704)
         assert plan.batch_size == 4
         assert plan.batches == 16
-        assert plan.feature_count == 150_528
+        assert plan.features == 150_528
         assert plan.total_features_loaded == 2_408_448
         assert plan.note is None
 
