@@ -107,11 +107,13 @@ class CsfStream:
             raise CsfFormatError(
                 f"counts promise {offsets[-1]} entries but rel holds "
                 f"{rel.size} and weights {weights.shape}")
-        # undo the delta coding: a running sum less its value before each
-        # nonempty position's first entry
+        # undo the delta coding in one running sum: each nonempty
+        # position's first entry first takes off the previous nonempty
+        # position's last index, the sum of that position's gaps
         starts = offsets[:-1][counts > 0]
-        indices = np.cumsum(rel, dtype=np.int64)
-        indices -= np.repeat(indices[starts] - rel[starts], counts[counts > 0])
+        indices = rel.astype(np.int64)
+        indices[starts[1:]] -= np.add.reduceat(indices, starts)[:-1]
+        np.cumsum(indices, out=indices)
         # a zero gap is legal only as a position's first entry
         misplaced = rel == 0
         misplaced[starts] = False
@@ -152,14 +154,15 @@ class CsfStream:
 def stack_filters(bank: np.ndarray, start: int, size: int) -> np.ndarray:
     """Slice `size` filters from a bank and move the filter axis innermost.
 
-    Input bank is (filters, ...spatial); result is (...spatial, size), laid
-    out contiguously so a position index walks the spatial axes in C order.
+    Input bank is (filters, ...spatial); result is (...spatial, size), a
+    view of the bank, not a copy: a position index walks the spatial axes
+    in C order, and the filter axis steps across the filter-major slice.
     """
     if start < 0 or size < 1 or start + size > bank.shape[0]:
         raise ValueError(
             f"stack [{start}, {start + size}) outside bank of {bank.shape[0]}"
         )
-    return np.ascontiguousarray(np.moveaxis(bank[start:start + size], 0, -1))
+    return np.moveaxis(bank[start:start + size], 0, -1)
 
 
 def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> CsfStream:
@@ -185,18 +188,26 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     else:
         channels, kernel = positions, 1
     flat = arr.reshape(positions, m)
-    mask = flat != 0
-    counts = np.count_nonzero(mask, axis=1)
-    # flat indices of the nonzeros in (position, filter) order, turned
-    # into filter indices in place
-    idx = np.flatnonzero(mask)
-    del mask
-    weights = flat.reshape(-1)[idx]
-    np.remainder(idx, m, out=idx)
+    # flat indices p * m + f of the nonzeros, in (position, filter) order:
+    # the floats are compared in the block's own layout and flatnonzero
+    # transposes the mask as bools, cheaper than comparing strided floats
+    idx = np.flatnonzero(flat != 0)
+    # position p's entries are offsets[p]:offsets[p + 1]
+    offsets = np.searchsorted(idx, np.arange(positions + 1) * m)
+    counts = np.diff(offsets)
+    # each entry's position, then its filter index in place
+    pos = np.repeat(np.arange(positions), counts)
+    idx -= pos * m
+    # the weights from the filter-major (m, positions) layout, which for
+    # a stack_filters view is the bank's own slice, not a copy
+    pos += idx * positions
+    weights = np.take(flat.T.ravel(), pos)
+    del pos
     rel = np.diff(idx, prepend=0)
     # each nonempty position's first entry carries its index itself
-    starts = (np.cumsum(counts) - counts)[counts > 0]
+    starts = offsets[:-1][counts > 0]
     rel[starts] = idx[starts]
+    del idx
     return CsfStream(profile, m, channels, kernel, counts, rel, weights,
                      quantized)
 
@@ -251,15 +262,23 @@ def deserialize_csf(data: bytes) -> CsfStream:
     # stream's constructor checks the rest, header shape included. The
     # host-order view yields Python ints, so 1 + 3 * count cannot wrap
     count_words = memoryview(words.astype("=u2", copy=False))
+    # the header's position count is untrusted: the list grows as the
+    # walk goes, and the first count read past the body ends it
     starts = []
     at = 0
-    for p in range(position_count):
-        if at >= len(count_words):
-            raise CsfFormatError(f"truncated at position {p} count field")
-        starts.append(at)
-        at += 1 + 3 * count_words[at]
-        if at > len(count_words):
-            raise CsfFormatError(f"truncated in position {p} entries")
+    try:
+        for p in range(position_count):
+            starts.append(at)
+            at += 1 + 3 * count_words[at]
+    except IndexError:
+        # a read at the body's end finds position p's count field cut; one
+        # past it, position p - 1's entries ran over the end
+        if at == len(count_words):
+            raise CsfFormatError(
+                f"truncated at position {p} count field") from None
+        p -= 1
+    if at > len(count_words):
+        raise CsfFormatError(f"truncated in position {p} entries")
     trailing = len(data) - HEADER_LEN - 2 * at
     if trailing:
         raise CsfFormatError(f"{trailing} trailing bytes after stream")

@@ -8,6 +8,7 @@ import pytest
 from csfsim import (CsfFormatError, CsfStream, LayerSpec, decode_csf,
                     deserialize_csf, encode_csf, quantize_shift,
                     random_sparse_filters, serialize_csf, stack_filters)
+from csfsim.cli import read_weight_bank, write_weight_bank
 
 
 def _bank(m=8, c=2, k=3, density=0.5, seed=0):
@@ -35,6 +36,20 @@ class TestStackFilters:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             stack_filters(_bank(m=4), 2, 3)
+
+    @pytest.mark.parametrize("profile", ["conv", "fc"])
+    def test_read_only_bank_file_encodes(self, tmp_path, profile):
+        # read_weight_bank's bank is a read-only view of the file's bytes:
+        # its stacks view those bytes, and encode as a writable copy does
+        bank = _bank(m=6, c=3, density=0.4, seed=9)
+        write_weight_bank(tmp_path / "bank", bank)
+        loaded = read_weight_bank(tmp_path / "bank")
+        assert not loaded.flags.writeable
+        stacked = stack_filters(loaded, 1, 4)
+        assert np.shares_memory(stacked, loaded)
+        want = encode_csf(np.ascontiguousarray(stacked), profile)
+        assert (serialize_csf(encode_csf(stacked, profile))
+                == serialize_csf(want))
 
 
 class TestEncode:
@@ -272,7 +287,11 @@ class TestSerialization:
                 + struct.pack("<Hf", 2, 4.0))
         assert serialize_csf(stream) == want
         assert deserialize_csf(want) == stream
-        # position 2's count starts at byte 24 + 14 + 2
+        # position 0's entries run over a cut at byte 30, before
+        # position 1's count; position 2's count starts at byte 24 + 14 + 2
+        with pytest.raises(CsfFormatError,
+                           match="truncated in position 0 entries"):
+            deserialize_csf(want[:30])
         with pytest.raises(CsfFormatError,
                            match="truncated at position 2 count field"):
             deserialize_csf(want[:40])

@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csfsim import (CsfFormatError, CsfStream, decode_csf, deserialize_csf,
-                    encode_csf, serialize_csf)
+                    encode_csf, serialize_csf, stack_filters)
 
 # a weight is zero half the time, otherwise any finite float32
 _WEIGHTS = st.one_of(st.just(0.0),
@@ -84,6 +84,61 @@ def test_bytes_roundtrip_is_identity(case):
     # by value: a -0.0 weight is dropped like any zero and decodes as +0.0
     assert np.array_equal(decoded, stacked.reshape(decoded.shape))
     assert back.total_nnz == np.count_nonzero(stacked)
+
+
+@st.composite
+def bank_stacks(draw):
+    """(profile, bank, start, size): a stack of filters start:start + size
+    of a (filters, ...spatial) bank that is sparse, all zero or dense."""
+    filters = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        c, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        shape, profile = (filters, c, k, k), "conv"
+    else:
+        spatial = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        shape, profile = (filters, *spatial), "fc"
+    fill = draw(st.sampled_from([_WEIGHTS, st.just(0.0), _NONZERO]))
+    start = draw(st.integers(0, filters - 1))
+    size = draw(st.integers(1, filters - start))
+    return profile, draw(arrays(np.float32, shape, elements=fill)), start, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(bank_stacks())
+@example(("conv", np.ones((3, 2, 2, 2), np.float32), 1, 1))
+@example(("fc", np.zeros((2, 3, 4), np.float32), 0, 1))
+@example(("fc", np.ones((4, 5), np.float32), 0, 4))
+def test_stack_view_encodes_as_its_contiguous_copy(case):
+    # stack_filters hands encode_csf a strided view of the bank; the
+    # stream must not depend on that layout
+    profile, bank, start, size = case
+    view = stack_filters(bank, start, size)
+    assert np.shares_memory(view, bank)
+    assert (serialize_csf(encode_csf(view, profile))
+            == serialize_csf(encode_csf(np.ascontiguousarray(view), profile)))
+
+
+@st.composite
+def delta_codes(draw):
+    """(counts, rel) of well-formed positions, some empty: a first gap of
+    0 or more, then gaps of 1 or more, wider than any 64-filter stack."""
+    rows = draw(st.lists(st.lists(st.integers(1, 5000), max_size=6),
+                         min_size=1, max_size=12))
+    counts = [len(row) for row in rows]
+    rel = [gap - (e == 0) for row in rows for e, gap in enumerate(row)]
+    return counts, rel
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_codes())
+def test_indices_are_running_sums_within_each_position(case):
+    counts, rel = case
+    stream = CsfStream("fc", 0xFFFF, len(counts), 1, counts, rel,
+                       np.ones(len(rel), np.float32))
+    ends = np.cumsum(counts)
+    want = [int(i) for n, end in zip(counts, ends)
+            for i in np.cumsum(rel[end - n:end], dtype=np.int64)]
+    assert stream.indices.tolist() == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -173,16 +173,21 @@ def test_decode_writes_the_bank_it_decoded(tmp_path):
     assert peak <= 2 * bank.nbytes
 
 
-def test_encode_peaks_near_three_banks(tmp_path):
-    # VGG16 CONV5-1 at d0.1: the bank bytes read and the stacked copy
-    # are two banks and the nonzero mask a quarter of one; an int64
-    # array over the 236K nonzeros is a fifth. Holding about eight int64
-    # or bool arrays per nonzero at once would peak at 3.9 banks
+@pytest.mark.parametrize("profile", ["conv", "fc"])
+def test_encode_peaks_near_two_banks(tmp_path, profile):
+    # VGG16 CONV5-1 at d0.1: the bank bytes read are one bank, and the
+    # stack is a view of them. The nonzero mask in the bank's layout and
+    # its transposed copy are a quarter bank each, and an int64 array
+    # over the 236K nonzeros is a fifth: encoding traced at 0.77 of a
+    # bank more, and serializing the stream at 0.81. The whole command
+    # traced at 1.83 banks, 1.81 for fc; a stacked copy of the bank
+    # would add one bank
     layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
     bank = random_sparse_filters(layer, 0.1, 1)
     bank_path = tmp_path / "bank"
     write_weight_bank(bank_path, bank)
     code, peak = _traced_peak(
-        main, ["encode", str(bank_path), "-o", str(tmp_path / "bank.csf")])
+        main, ["encode", str(bank_path), "-o", str(tmp_path / "bank.csf"),
+               "--profile", profile])
     assert code == 0
-    assert peak <= 3.25 * bank.nbytes
+    assert peak <= 2.25 * bank.nbytes
