@@ -46,6 +46,9 @@ _PROFILES = {"fc": 0, "conv": 1}
 _PROFILE_NAMES = {code: name for name, code in _PROFILES.items()}
 # one packed (relative index, weight) pair as it sits in the byte form
 _ENTRY = np.dtype([("rel", "<u2"), ("weight", "<f4")])
+# weights quantize_shift rounds per chunk: its scratch is a mask and a
+# few float64 arrays of at most this length (0.5 MB each)
+_QUANTIZE_CHUNK = 1 << 16
 
 
 class CsfFormatError(ValueError):
@@ -236,6 +239,9 @@ def serialize_csf(stream: CsfStream) -> bytes:
     # position p's count goes in front of its entries, at word 3 * offsets[p]
     words = np.insert(entries.view("<u2"), 3 * stream.offsets[:-1],
                       stream.counts)
+    # the entries go before the join copies the words: two copies of the
+    # body at most, never three
+    del entries
     header = _HEADER.pack(MAGIC, VERSION, _PROFILES[stream.profile],
                           1 if stream.quantized else 0, stream.filters,
                           stream.channels, stream.kernel, stream.position_count)
@@ -299,6 +305,10 @@ def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
     [-149, 127], the exponents of float32's smallest subnormal and largest
     power of two, so every result is a finite nonzero float32. NaN and
     infinite weights are rejected rather than clamped.
+
+    The bank is rounded `_QUANTIZE_CHUNK` weights at a time, so beside
+    the bank and its result the scratch stays a few chunks long. Every
+    weight is rounded on its own, so the chunks change no result.
     """
     if exp_min > exp_max:
         raise ValueError(f"exponent range [{exp_min}, {exp_max}] is empty")
@@ -306,12 +316,15 @@ def quantize_shift(bank: np.ndarray, exp_min: int, exp_max: int) -> np.ndarray:
         raise ValueError(f"exponent range [{exp_min}, {exp_max}] leaves "
                          f"float32's [-149, 127]")
     arr = np.asarray(bank, dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise ValueError("bank contains non-finite weights")
-    out = np.zeros_like(arr)
-    nz = arr != 0
-    mags = np.abs(arr[nz]).astype(np.float64)
-    exps = np.ceil(np.log2(mags) - 0.5)
-    exps = np.clip(exps, exp_min, exp_max)
-    out[nz] = np.sign(arr[nz]) * np.exp2(exps).astype(np.float32)
+    out = np.zeros(arr.shape, np.float32)
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _QUANTIZE_CHUNK):
+        w = flat[start:start + _QUANTIZE_CHUNK]
+        if not np.isfinite(w).all():
+            raise ValueError("bank contains non-finite weights")
+        nz = w != 0
+        mags = np.abs(w[nz]).astype(np.float64)
+        exps = np.clip(np.ceil(np.log2(mags) - 0.5), exp_min, exp_max)
+        flat_out[start:start + _QUANTIZE_CHUNK][nz] = (
+            np.sign(w[nz]) * np.exp2(exps).astype(np.float32))
     return out

@@ -40,7 +40,19 @@ the bytes, as they are. A register that starts from its first product
 instead of +0.0 gives the same bytes, by the zero rule in the `dense`
 module docstring. Registers, one rank's products and window rows stay
 within `_BLOCK_FLOATS`, give or take a block's spare row, unless one
-output row alone exceeds it.
+output row alone exceeds it. At 2^17 floats, 512 KiB each, the three fit
+together in a 2 MiB L2 cache. A smaller budget adds blocks and tiles,
+and the calls they cost: at 2^16 the engine took 17% longer on the
+first layer of each VGG16 block at d0.1 in 64-filter stacks (519
+against 443 ms, and 436 ms at 2^18; medians of 7 on a 2-vCPU VM).
+
+The set-up holds each entry's position, cell and place in slot order in
+the narrowest signed integer type that holds every position and every
+(channel, tap, filter) cell, and does its arithmetic in place. Only the
+row each entry reads and the flush slots, which the tile loop's takes
+index with, are intp. All 512 filters of VGG16 CONV5-1 at d0.5 as one
+stack, 1.18M entries, trace 21.0 MiB over their output, against 39.9
+MiB with every set-up array in intp.
 
 `run_conv` runs under the oracle's 128-element ufunc buffer (see the
 `dense` module docstring) for the rank loop's in-place multiply of the
@@ -63,14 +75,17 @@ from .codec import CsfStream, encode_csf, stack_filters
 from .dense import _copy_windows, _small_ufunc_buffer, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
-# float32 elements per run_conv block (1 MB): a block spans as many
+# float32 elements per run_conv block (512 KiB): a block spans as many
 # whole channels as keep its registers (channels x filters x windows)
 # and its window rows (channels x taps x windows) each within it, so on
 # a small plane one take, multiply and add per product rank covers many
 # channels. The output runs in tiles of whole rows that keep one
 # channel's registers ((filters + 1) x pixels) and window rows within
-# it, which is the whole output wherever a block holds two channels
-_BLOCK_FLOATS = 1 << 18
+# it, which is the whole output wherever a block holds two channels.
+# The registers, one rank's products and the window rows, one budget
+# each, fit together in a 2 MiB L2 cache; 2^16 made the engine 17%
+# slower on VGG16's block layers at d0.1 (see the module docstring)
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -132,6 +147,15 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
         stream.total_nnz, stream.position_count, layer.channels, windows)
 
 
+def _index_type(cells: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0 to `cells`.
+
+    Signed, so that in-place arithmetic with the stream's int64 indices
+    casts within one kind.
+    """
+    return np.min_scalar_type(-1 - cells)
+
+
 def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
                 out: np.ndarray) -> None:
     """Add a conv stream's products into `out`, tile by tile, block by block.
@@ -154,11 +178,17 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     rows = min(out_h, max(
         1, _BLOCK_FLOATS // (max(filters + 1, taps) * out_w)))
     blocks, pairs = -(-channels // block), block * filters
+    # the per-entry set-up in the narrowest type that holds every
+    # position and every (channel, tap, filter) cell, its arithmetic
+    # done in place
+    index = _index_type(channels * taps * max(filters, 1))
     # each entry's position, channel * taps + tap, and its rank among its
     # (channel, filter) pair's products in tap order: a running count
     # over the (channel, tap, filter) cells, tap by tap
-    position = np.repeat(np.arange(stream.position_count), stream.counts)
-    cell = position * filters + stream.indices
+    position = np.repeat(np.arange(stream.position_count, dtype=index),
+                         stream.counts)
+    cell = position * filters
+    cell += stream.indices
     seen = np.zeros((channels, taps, filters), np.min_scalar_type(taps))
     seen.reshape(-1)[cell] = 1
     for t in range(1, taps):
@@ -166,34 +196,47 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
     rank = seen.reshape(-1)[cell]
     held = seen[:, -1].reshape(-1)
     # the set-up arrays go before the next ones come, to bound the peak
-    del cell, seen
+    del seen
     # within each block, slots in descending product count, ties in
     # (channel, filter) order: a stable sort by (block, taps - held). The
     # block's pairs with more than j products hold its first above[b, j]
     # slots, and its rank-j entries run from starts[b, j] in slot order
     key = np.arange(held.size) // pairs * (taps + 1) + (taps - held)
-    slot = np.empty_like(key)
+    slot = np.empty(held.size, index)
     slot[np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))),
                     kind="stable")] = np.arange(held.size) % pairs
     # a running count of the pairs per (block, taps - held), read from
     # held == taps down to held == 1
     above = np.bincount(key, minlength=blocks * (taps + 1)).reshape(
         blocks, taps + 1).cumsum(axis=1)[:, taps - 1::-1]
+    del key
     starts = (np.cumsum(above, axis=1) - above
-              + stream.offsets[:-1:block * taps, None])
-    sequence = starts.reshape(-1)[position // (block * taps) * taps
-                                  + rank - 1]
-    sequence += slot[position // taps * filters + stream.indices]
+              + stream.offsets[:-1:block * taps, None]).astype(index)
+    # an entry's place in slot order: its pair's slot, slot[channel *
+    # filters + filter], plus the start of its block's rank,
+    # starts[block, rank - 1]; both indices are made in the cell array
+    np.floor_divide(position, taps, out=cell)
+    cell *= filters
+    cell += stream.indices
+    sequence = slot[cell]
+    np.floor_divide(position, block * taps, out=cell)
+    cell *= taps
+    cell += rank
+    cell -= 1
+    sequence += starts.reshape(-1)[cell]
+    del cell, rank
     # a block's window rows are channel-major, so an entry reads the row
     # of its position within its block
-    row = np.empty_like(position)
-    row[sequence] = position % (block * taps)
+    row = np.empty(stream.total_nnz, np.intp)
+    row[sequence] = np.remainder(position, block * taps, out=position)
+    del position
     weight = np.empty((stream.total_nnz, 1), np.float32)
     weight[sequence, 0] = stream.weights
+    del sequence
     # a pair with no product flushes row above[b, 0], kept +0.0
     flush = np.where(held > 0, slot,
                      np.repeat(above[:, 0], pairs)[:held.size])
-    del position, rank, key, slot, sequence
+    del slot
     # flat scratch for the largest tile, reshaped per tile so that every
     # take writes a contiguous array: the window rows, the registers with
     # one spare row for the pairs with no product, one rank's products

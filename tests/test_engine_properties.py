@@ -28,7 +28,10 @@ hold them.
   lone product of -0.0, a rank-0 register holding -0.0, leaves no -0.0
   in the output; 13x13 and 16x16 kernels over one window, whose
   registers take 169 and 256 products at d1.0, with an empty channel,
-  an empty block or no entry, == oracle and scalar reference.
+  an empty block or no entry, == oracle and scalar reference;
+- `run_conv`'s set-up in intp, as a layer of 2**31 cells or more takes
+  it, == its narrow set-up, output bytes and counters, from int8 to
+  int32, and a stream of no filter runs.
 """
 
 import math
@@ -234,6 +237,52 @@ def test_wide_kernel_blocks_equal_oracle_and_scalar_reference(layer, density,
     actual, _ = run_conv(_whole_stack(bank), features, layer)
     stepped = EngineContext(layer, _whole_stack(bank), features).run()
     assert actual.tobytes() == stepped.tobytes()
+
+
+@pytest.mark.parametrize("cells,narrow", [
+    (0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+    (32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+])
+def test_index_type_is_the_narrowest_signed_type(cells, narrow):
+    assert engine._index_type(cells) == narrow
+
+
+@pytest.mark.parametrize("layer,narrow", [
+    # channels x taps x filters cells: 126, 3456 and 294912
+    pytest.param(LayerSpec("int8", "conv", 2, 6, 6, 3, 1, 1, 7), np.int8,
+                 id="int8"),
+    pytest.param(LayerSpec("int16", "conv", 16, 9, 9, 3, 1, 1, 24),
+                 np.int16, id="int16"),
+    pytest.param(LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 64),
+                 np.int32, id="int32"),
+])
+def test_intp_set_up_equals_narrow_set_up(layer, narrow):
+    # the set-up in intp, as a layer of 2**31 cells or more would take it,
+    # gives the bytes and counters of the narrow set-up
+    cells = layer.channels * layer.kernel ** 2 * layer.filters
+    assert engine._index_type(cells) == narrow
+    bank = random_sparse_filters(layer, 0.5, 51)
+    features = np.random.default_rng(52).uniform(
+        -2.0, 2.0, (layer.channels, layer.height, layer.width)
+    ).astype(np.float32)
+    stream = _whole_stack(bank)
+    expected, expected_counters = run_conv(stream, features, layer)
+    with mock.patch.object(engine, "_index_type",
+                           return_value=np.dtype(np.intp)) as pick:
+        actual, counters = run_conv(stream, features, layer)
+    pick.assert_called_once_with(cells)
+    assert actual.tobytes() == expected.tobytes()
+    assert vars(counters) == vars(expected_counters)
+
+
+def test_zero_filter_stream_runs():
+    # no filter: the set-up type still holds the 3380 positions of 20
+    # channels under a 13x13 kernel, which int8 does not
+    layer = LayerSpec("none", "conv", 20, 6, 6, 13, 1, 4, 1)
+    stream = encode_csf(np.zeros((20, 13, 13, 0), np.float32), "conv")
+    out, counters = run_conv(stream, np.ones((20, 6, 6), np.float32), layer)
+    assert out.shape == (0, 2, 2)
+    assert vars(counters) == vars(stack_trace(0, 3380, 20, 4))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csfsim import (LayerSpec, dense_conv, dense_fc, encode_csf, engine,
+from csfsim import (LayerSpec, dense_conv, dense_fc, encode_csf,
                     random_sparse_filters, run_conv, stack_filters)
 from csfsim.cli import main, write_weight_bank
 
@@ -116,46 +116,57 @@ def _run_conv_conv1_1_peak(density):
 
 def test_run_conv_tiles_a_large_channel():
     # VGG16 CONV1-1 as one 64-filter stack: a 12.25 MiB output, and one
-    # channel's registers would take as much again. It runs in tiles of
-    # 18 output rows: one tile's registers and one channel's flush take
-    # a budget (4 x _BLOCK_FLOATS bytes, 1 MiB) each, and with the padded
-    # input (0.6 MiB) and the window rows scratch traced at 3.0 MiB at
-    # d0.1
+    # channel's registers would take as much again. It runs in tiles of 9
+    # output rows: one tile's registers and one channel's flush take 0.5
+    # MiB each, and with the padded input (0.6 MiB) and the window rows
+    # scratch traced at 1.8 MiB at d0.1
     out, peak = _run_conv_conv1_1_peak(0.1)
-    assert peak <= out.nbytes + 3.25 * 4 * engine._BLOCK_FLOATS
+    assert peak <= out.nbytes + 2.25 * MB
 
 
 def test_run_conv_tiles_a_large_channel_at_half_density():
-    # the same stack at d0.5: one rank's products add up to a budget
-    # more, and scratch traced at 3.7 MiB
+    # the same stack at d0.5: one rank's products add 0.5 MiB more, and
+    # scratch traced at 2.15 MiB
     out, peak = _run_conv_conv1_1_peak(0.5)
-    assert peak <= out.nbytes + 4 * 4 * engine._BLOCK_FLOATS
+    assert peak <= out.nbytes + 2.5 * MB
+
+
+def _run_conv_conv5_1_peak(density, filters):
+    """VGG16 CONV5-1's first `filters` filters as one stack: its output
+    and the peak."""
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    stream = encode_csf(stack_filters(
+        random_sparse_filters(layer, density, 2), 0, filters), "conv")
+    features = np.random.default_rng(1).random((512, 14, 14), np.float32)
+    (out, _), peak = _traced_peak(run_conv, stream, features, layer)
+    return out, peak
 
 
 def test_run_conv_blocks_hold_one_block_of_registers():
-    # VGG16 CONV5-1 as one 64-filter stack runs in 20-channel blocks:
-    # one block's registers take 1 MiB, and registers for all 512
+    # VGG16 CONV5-1 as one 64-filter stack runs in 10-channel blocks:
+    # one block's registers take 0.5 MiB, and registers for all 512
     # channels would take 24.5 MiB. With the padded input (0.5 MiB),
     # each entry's rank and slot and one rank's products, scratch traced
-    # at 2.5 MiB at d0.1; the bound leaves 0.5 MiB of margin
-    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
-    stream = encode_csf(
-        stack_filters(random_sparse_filters(layer, 0.1, 2), 0, 64), "conv")
-    features = np.random.default_rng(1).random((512, 14, 14), np.float32)
-    (out, _), peak = _traced_peak(run_conv, stream, features, layer)
-    assert peak <= out.nbytes + 3 * 4 * engine._BLOCK_FLOATS
+    # at 1.9 MiB at d0.1
+    out, peak = _run_conv_conv5_1_peak(0.1, 64)
+    assert peak <= out.nbytes + 2.25 * MB
 
 
 def test_run_conv_block_set_up_stays_small_at_half_density():
-    # the same stack at d0.5 holds five times the entries: with the
-    # ranks and slots of all 147K entries, scratch traced at 5.7 MiB. A
-    # set-up holding one more int64 array per entry would take 7.9 MiB
-    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
-    stream = encode_csf(
-        stack_filters(random_sparse_filters(layer, 0.5, 2), 0, 64), "conv")
-    features = np.random.default_rng(1).random((512, 14, 14), np.float32)
-    (out, _), peak = _traced_peak(run_conv, stream, features, layer)
-    assert peak <= out.nbytes + 7 * MB
+    # the same stack at d0.5 holds five times the entries: with the set-up
+    # of all 147K entries in int32, scratch traced at 3.6 MiB. The same
+    # set-up in intp traces 5.4 MiB
+    out, peak = _run_conv_conv5_1_peak(0.5, 64)
+    assert peak <= out.nbytes + 4.5 * MB
+
+
+def test_run_conv_whole_layer_stack_set_up():
+    # all 512 filters of CONV5-1 at d0.5 as one stack, 1.18M entries: an
+    # intp row and a float32 weight per entry, and while they are made an
+    # int32 position and sequence, traced at 21.0 MiB. An intp set-up
+    # traces 39.9 MiB
+    out, peak = _run_conv_conv5_1_peak(0.5, 512)
+    assert peak <= out.nbytes + 22 * MB
 
 
 def test_decode_writes_the_bank_it_decoded(tmp_path):
@@ -179,8 +190,9 @@ def test_encode_peaks_near_two_banks(tmp_path, profile):
     # stack is a view of them. The nonzero mask in the bank's layout and
     # its transposed copy are a quarter bank each, and an int64 array
     # over the 236K nonzeros is a fifth: encoding traced at 0.77 of a
-    # bank more, and serializing the stream at 0.81. The whole command
-    # traced at 1.83 banks, 1.81 for fc; a stacked copy of the bank
+    # bank more. Serializing holds two copies of the body at most, the
+    # words and the joined bytes, and traced at 0.74. The whole command
+    # traced at 1.79 banks, 1.77 for fc; a stacked copy of the bank
     # would add one bank
     layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
     bank = random_sparse_filters(layer, 0.1, 1)
@@ -190,4 +202,21 @@ def test_encode_peaks_near_two_banks(tmp_path, profile):
         main, ["encode", str(bank_path), "-o", str(tmp_path / "bank.csf"),
                "--profile", profile])
     assert code == 0
-    assert peak <= 2.25 * bank.nbytes
+    assert peak <= 2.2 * bank.nbytes
+
+
+def test_quantized_encode_peaks_near_two_banks(tmp_path):
+    # the same bank with --quantize-shift: the bank read and its quantized
+    # copy are two banks, and rounding a chunk at a time adds 0.03 of a
+    # bank: the command traced at 2.03 banks. Rounding the whole
+    # bank at once, through a mask and float64 arrays over every
+    # nonzero, traced at 3.05
+    layer = LayerSpec("CONV5-1", "conv", 512, 14, 14, 3, 1, 1, 512)
+    bank = random_sparse_filters(layer, 0.1, 1)
+    bank_path = tmp_path / "bank"
+    write_weight_bank(bank_path, bank)
+    code, peak = _traced_peak(
+        main, ["encode", str(bank_path), "-o", str(tmp_path / "bank.csf"),
+               "--quantize-shift", "-8", "0"])
+    assert code == 0
+    assert peak <= 2.5 * bank.nbytes
