@@ -117,13 +117,12 @@ def pad_channels(features: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(features, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def _copy_windows(padded: np.ndarray, chans: int | slice, layer: LayerSpec,
+def _copy_windows(padded: np.ndarray, chans: slice, layer: LayerSpec,
                   out: np.ndarray) -> None:
     """Copy the input samples kernel tap t touches into out[t].
 
-    Taps run in kernel row then column order. `chans` picks one channel,
-    with `out` of shape (taps, out_h, out_w), or a slice of channels, with
-    `out` of shape (taps, channels, out_h, out_w).
+    Taps run in kernel row then column order; `out` is (taps, channels,
+    out_h, out_w) for the slice of channels `chans`.
     """
     k, stride = layer.kernel, layer.stride
     out_h, out_w = out.shape[-2:]
@@ -228,7 +227,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     for y0 in range(0, out_h, rows):
         y1 = min(out_h, y0 + rows)
         pixels = (y1 - y0) * out_w
-        windows = window_rows[:taps * pixels].reshape(taps, y1 - y0, out_w)
+        windows = window_rows[:taps * pixels].reshape(taps, 1, y1 - y0, out_w)
         tile_rows = windows.reshape(taps, pixels)
         acc = accumulator[:2 * filters * pixels].reshape(2 * filters, pixels)
         tile_out = acc[:filters]
@@ -239,8 +238,8 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
             for j, count in enumerate(counts):
                 if not count:
                     continue
-                _copy_windows(padded[:, y0 * layer.stride:], c0 + j, layer,
-                              windows)
+                _copy_windows(padded[:, y0 * layer.stride:],
+                              slice(c0 + j, c0 + j + 1), layer, windows)
                 if count >= _DENSE_SHARE * cells:
                     # every weight: tap 0's products are the partial sums
                     if product is None:
@@ -280,7 +279,10 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
 def dense_fc(features, weights, layer: LayerSpec) -> np.ndarray:
     """The conv rule's fast case on a 1x1 plane: products in input order.
 
-    Weights have shape (filters, C, H, W); output is (filters, 1, 1).
+    It stays beside `dense_conv`'s 1x1 case because there every input
+    element is a channel, listed and copied on its own, where here it is
+    one multiply-add across every filter. Weights have shape
+    (filters, C, H, W); output is (filters, 1, 1).
     """
     if layer.kind != "fc":
         raise ValueError(f"{layer.name}: dense_fc needs an fc layer")

@@ -13,46 +13,42 @@ literal instruction-level walk, one scalar multiply-accumulate at a
 time, is `EngineContext` in `tests/scalar_engine.py`: the tests' reference,
 which `run_conv` matches bit for bit.
 
-`run_conv` walks the input in blocks of whole channels: as many as keep
-a block's registers and its window rows each within `_BLOCK_FLOATS`. It
-walks the output in the fewest tiles of whole output rows that keep one
-channel's registers, one spare row included ((filters + 1) x tile
-pixels), and its window rows (taps x tile pixels) each within
-`_BLOCK_FLOATS`; an output row wider than that gives one-row tiles.
-Where a block holds two or more channels, one tile covers the whole
-output. Rank j of a (channel, filter) register is its (j+1)-th product
-in tap order, kernel row then column. Within a block, registers sit in
-slots ordered by product count, descending, so the registers that take
-more than j products are always the first slots; a few passes over the
-whole stream give every entry its rank and slot, once, whatever the
-tiles. Per tile and block, `run_conv` copies each tap's window rows and
-walks the ranks: rank j is one take of the window rows its entries read,
-one multiply by their weights and one add into that contiguous prefix of
-the registers, and rank 0 is written straight into its registers. Then,
-one channel at a time in channel order, a take puts the channel's
-registers back in filter order, a pair with no product reading the spare
-+0.0 row, and one add flushes them into the output. This is exact:
-registers of different channels never mix, each sees its channel's
-products in tap order, and each output element sees one flush per
-channel, in channel order. A tile only decides which output elements are
-computed together, so it leaves every element's float32 sequence, and so
-the bytes, as they are. A register that starts from its first product
-instead of +0.0 gives the same bytes, by the zero rule in the `dense`
-module docstring. Registers, one rank's products and window rows stay
-within `_BLOCK_FLOATS`, give or take a block's spare row, unless one
-output row alone exceeds it. At 2^17 floats, 512 KiB each, the three fit
-together in a 2 MiB L2 cache. A smaller budget adds blocks and tiles,
-and the calls they cost: at 2^16 the engine took 17% longer on the
-first layer of each VGG16 block at d0.1 in 64-filter stacks (519
-against 443 ms, and 436 ms at 2^18; medians of 7 on a 2-vCPU VM).
+`run_conv` walks the output in tiles of whole output rows and the input
+in blocks of whole channels, both sized by one term, `max(filters, taps)`
+floats per channel and output pixel: a channel's registers take
+`filters` and its window rows `taps`. A tile holds as many whole output
+rows as keep one channel's floats within `_BLOCK_FLOATS`, at least one,
+and a block as many whole channels as keep theirs over one tile within
+it, at least one; so a block of two or more channels covers the whole
+output in one tile. Registers, one rank's products and window rows each
+stay within `_BLOCK_FLOATS`, give or take one spare register row per
+tile, unless one output row alone exceeds it: the budget is sized so
+that the three fit together in a 2 MiB L2 cache, and a smaller one adds
+blocks and tiles, and the calls they cost. Rank j of a (channel, filter)
+register is its (j+1)-th product in tap order, kernel row then column.
+Within a block, registers sit in slots ordered by product count,
+descending, so the registers that take more than j products are always
+the first slots; a few passes over the whole stream give every entry its
+rank and slot, once, whatever the tiles. Per tile and block, `run_conv`
+copies each tap's window rows and walks the ranks: rank j is one take of
+the window rows its entries read, one multiply by their weights and one
+add into that contiguous prefix of the registers, and rank 0 is written
+straight into its registers. Then, one channel at a time in channel
+order, a take puts the channel's registers back in filter order, a pair
+with no product reading the spare +0.0 row, and one add flushes them
+into the output. This is exact: registers of different channels never
+mix, each sees its channel's products in tap order, and each output
+element sees one flush per channel, in channel order. A tile only
+decides which output elements are computed together, so it leaves every
+element's float32 sequence, and so the bytes, as they are. A register
+that starts from its first product instead of +0.0 gives the same bytes,
+by the zero rule in the `dense` module docstring.
 
 The set-up holds each entry's position, cell and place in slot order in
 the narrowest signed integer type that holds every position and every
-(channel, tap, filter) cell, and does its arithmetic in place. Only the
-row each entry reads and the flush slots, which the tile loop's takes
-index with, are intp. All 512 filters of VGG16 CONV5-1 at d0.5 as one
-stack, 1.18M entries, trace 21.0 MiB over their output, against 39.9
-MiB with every set-up array in intp.
+(channel, tap, filter) cell, and does its arithmetic in place, which
+bounds its memory on whole-layer stacks. Only the row each entry reads
+and the flush slots, which the tile loop's takes index with, are intp.
 
 `run_conv` runs under the oracle's 128-element ufunc buffer (see the
 `dense` module docstring) for the rank loop's in-place multiply of the
@@ -75,16 +71,9 @@ from .codec import CsfStream, encode_csf, stack_filters
 from .dense import _copy_windows, _small_ufunc_buffer, as_f32, pad_channels
 from .layers import LayerSpec, output_shape
 
-# float32 elements per run_conv block (512 KiB): a block spans as many
-# whole channels as keep its registers (channels x filters x windows)
-# and its window rows (channels x taps x windows) each within it, so on
-# a small plane one take, multiply and add per product rank covers many
-# channels. The output runs in tiles of whole rows that keep one
-# channel's registers ((filters + 1) x pixels) and window rows within
-# it, which is the whole output wherever a block holds two channels.
-# The registers, one rank's products and the window rows, one budget
-# each, fit together in a 2 MiB L2 cache; 2^16 made the engine 17%
-# slower on VGG16's block layers at d0.1 (see the module docstring)
+# run_conv's budget in float32 elements (512 KiB): its registers, one
+# rank's products and its window rows each keep within it per tile and
+# block (see the module docstring)
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -123,9 +112,9 @@ def stack_trace(nnz: int, positions: int, channels: int,
 def run_conv(stream: CsfStream, features, layer: LayerSpec):
     """Execute a conv stream over one input; returns (output, counters).
 
-    Vectorized over blocks of whole channels and tiles of whole output
-    rows, one take, multiply and contiguous add per product rank, block
-    and tile (see the module docstring), preserving each output
+    Vectorized over tiles of whole output rows, then blocks of whole
+    channels, one take, multiply and contiguous add per product rank,
+    tile and block (see the module docstring), preserving each output
     element's scalar accumulation sequence. Multiplies only the stream's
     nonzero weights: nnz x windows MACs.
     """
@@ -140,43 +129,15 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
         as_f32(features, (layer.channels, layer.height, layer.width)),
         layer.pad)
     out_w, out_h = output_shape(layer)
-    windows = out_h * out_w
-    out = np.zeros((stream.filters, windows), np.float32)
-    _run_blocks(stream, padded, layer, out)
-    return out.reshape(stream.filters, out_h, out_w), stack_trace(
-        stream.total_nnz, stream.position_count, layer.channels, windows)
-
-
-def _index_type(cells: int) -> np.dtype:
-    """The narrowest signed integer type that holds 0 to `cells`.
-
-    Signed, so that in-place arithmetic with the stream's int64 indices
-    casts within one kind.
-    """
-    return np.min_scalar_type(-1 - cells)
-
-
-def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
-                out: np.ndarray) -> None:
-    """Add a conv stream's products into `out`, tile by tile, block by block.
-
-    `out` is (filters, windows). Blocks of whole channels and tiles of
-    whole output rows keep within `_BLOCK_FLOATS`. Registers sit in
-    slots ordered by product count, so rank j of every register is one
-    take of window rows, one multiply and one add into a contiguous
-    prefix of the registers (see the module docstring).
-    """
-    out_w, out_h = output_shape(layer)
     k, channels, filters = layer.kernel, layer.channels, stream.filters
     taps, windows = k * k, out_h * out_w
+    # the larger of a channel's register and window-row floats per output
+    # pixel sizes the tiles, then the blocks (see the module docstring)
+    per_pixel = max(filters, taps)
+    rows = min(out_h, max(1, _BLOCK_FLOATS // (per_pixel * out_w)))
     block = min(channels,
-                max(1, _BLOCK_FLOATS // (max(filters, taps) * windows)))
-    # tiles of whole output rows whose registers, the spare row included,
-    # and window rows fit the budget. A block of two or more channels
-    # gets every row: the budget then holds twice max(filters, taps)
-    # registers or window rows per output pixel
-    rows = min(out_h, max(
-        1, _BLOCK_FLOATS // (max(filters + 1, taps) * out_w)))
+                max(1, _BLOCK_FLOATS // (per_pixel * rows * out_w)))
+    out = np.zeros((filters, windows), np.float32)
     blocks, pairs = -(-channels // block), block * filters
     # the per-entry set-up in the narrowest type that holds every
     # position and every (channel, tap, filter) cell, its arithmetic
@@ -285,6 +246,17 @@ def _run_blocks(stream: CsfStream, padded: np.ndarray, layer: LayerSpec,
                 np.take(registers, slots, axis=0, out=tile_flush,
                         mode="clip")
                 tile_out += tile_flush
+    return out.reshape(filters, out_h, out_w), stack_trace(
+        stream.total_nnz, stream.position_count, channels, windows)
+
+
+def _index_type(cells: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0 to `cells`.
+
+    Signed, so that in-place arithmetic with the stream's int64 indices
+    casts within one kind.
+    """
+    return np.min_scalar_type(-1 - cells)
 
 
 def run_fc(stream: CsfStream, features):
@@ -292,8 +264,11 @@ def run_fc(stream: CsfStream, features):
 
     The conv rule's fast case on a 1x1 plane (see the `dense` module
     docstring): np.add.at applies the products in entry order, which is
-    input stream order. The input may have any shape whose flattened
-    length matches the stream. Output is (filters, 1, 1).
+    input stream order. It stays beside `run_conv`'s 1x1 case because
+    one window leaves the rank set-up nothing to share: it would sort
+    every entry into a slot to multiply it once. The input may have any
+    shape whose flattened length matches the stream. Output is
+    (filters, 1, 1).
     """
     if stream.profile != "fc":
         raise ValueError("run_fc needs an fc stream")

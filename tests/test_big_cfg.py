@@ -39,10 +39,10 @@ def paths():
     with pytest.MonkeyPatch.context() as patch:
         real_verify_layer = cli._verify_layer
         patch.setattr(cli, "_verify_layer", verify_layer)
-        # the oracle copies (taps, rows, out_w), the engine (taps,
-        # channels, rows, out_w) for the channel slice chans
+        # both copy (taps, channels, rows, out_w) for the channel slice
+        # chans, the oracle one channel at a time
         spy("oracle rows", dense, "_copy_windows",
-            lambda padded, chans, layer, out, _: out.shape[1])
+            lambda padded, chans, layer, out, _: out.shape[-2])
         spy("engine copies", engine, "_copy_windows",
             lambda padded, chans, layer, out, _: (chans, out.shape))
         # each group's channel count and its channels' paths

@@ -1,11 +1,14 @@
 """Streaming engine vs dense oracles, plus trace accounting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csfsim import (LayerSpec, TraceCounters, dense_conv, dense_fc,
-                    encode_csf, output_shape, random_sparse_filters, run_conv,
-                    run_fc, run_layer_batched, stack_filters)
+                    encode_csf, engine, output_shape, random_sparse_filters,
+                    run_conv, run_fc, run_layer_batched, stack_filters)
+from csfsim.cli import _load_config
 from scalar_engine import EngineContext
 
 
@@ -288,3 +291,65 @@ class TestTraceCounters:
                                index_loads=11, feature_loads=22,
                                pointer_loads=22, simd_instructions=33)
         assert b.macs_executed == 10
+
+
+# (channels per block, tile rows) of each conv layer's run_conv plan, in
+# 64-filter stacks and in one whole-layer stack, at d0.1: recorded from
+# the engine that sized tiles by max(filters + 1, taps) and blocks by
+# max(filters, taps) floats per pixel. The one rule keeps every plan of
+# the bundled networks; on BIG it grows the tiles from 31 to 32 rows
+# (64 filters x 32 rows x 64 pixels fill the budget, the spare register
+# row past it)
+_PLANS = [
+    ("lenet", "CONV1", [(1, 24), (1, 24)]),
+    ("lenet", "CONV2", [(20, 8), (20, 8)]),
+    ("alexnet", "CONV1", [(1, 19), (1, 19)]),
+    ("alexnet", "CONV2", [(2, 27), (1, 18)]),
+    ("alexnet", "CONV3", [(12, 13), (2, 13)]),
+    ("alexnet", "CONV4", [(12, 13), (2, 13)]),
+    ("alexnet", "CONV5", [(12, 13), (3, 13)]),
+    ("vgg16", "CONV1-1", [(1, 9), (1, 9)]),
+    ("vgg16", "CONV1-2", [(1, 9), (1, 9)]),
+    ("vgg16", "CONV2-1", [(1, 18), (1, 9)]),
+    ("vgg16", "CONV2-2", [(1, 18), (1, 9)]),
+    ("vgg16", "CONV3-1", [(1, 36), (1, 9)]),
+    ("vgg16", "CONV3-2", [(1, 36), (1, 9)]),
+    ("vgg16", "CONV3-3", [(1, 36), (1, 9)]),
+    ("vgg16", "CONV4-1", [(2, 28), (1, 9)]),
+    ("vgg16", "CONV4-2", [(2, 28), (1, 9)]),
+    ("vgg16", "CONV4-3", [(2, 28), (1, 9)]),
+    ("vgg16", "CONV5-1", [(10, 14), (1, 14)]),
+    ("vgg16", "CONV5-2", [(10, 14), (1, 14)]),
+    ("vgg16", "CONV5-3", [(10, 14), (1, 14)]),
+    ("big.cfg", "BIG", [(1, 32), (1, 32)]),
+    ("big.cfg", "BIG160", [(1, 12), (1, 12)]),
+    ("big.cfg", "BIG224", [(1, 9), (1, 9)]),
+    ("big.cfg", "K13", [(4, 1), (4, 1)]),
+    ("big.cfg", "GROUPS", [(3, 23), (1, 11)]),
+    ("big.cfg", "WIDE", [(1, 3), (1, 3)]),
+]
+
+
+class _FirstCopy(Exception):
+    """Stops a run at its first window copy, with that block's plan."""
+
+
+@pytest.mark.parametrize("config,name,plans", _PLANS,
+                         ids=[f"{c}-{n}" for c, n, _ in _PLANS])
+def test_plan_on_real_layers(monkeypatch, config, name, plans):
+    path = Path(__file__).with_name(config) if "." in config else config
+    layer, = [layer for layer in _load_config(str(path))
+              if layer.name == name]
+
+    def first_copy(padded, chans, _, out):
+        raise _FirstCopy(out.shape[1], out.shape[-2])
+    monkeypatch.setattr(engine, "_copy_windows", first_copy)
+    bank = random_sparse_filters(layer, 0.1, 0)
+    features = np.zeros((layer.channels, layer.height, layer.width),
+                        np.float32)
+    seen = []
+    for stack in (64, layer.filters):
+        with pytest.raises(_FirstCopy) as stop:
+            run_layer_batched(bank, features, layer, stack)
+        seen.append(stop.value.args)
+    assert seen == plans

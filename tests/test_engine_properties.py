@@ -133,8 +133,8 @@ def test_split_channel_blocks_equal_oracle_bytewise(case, block):
     _run_conv_patched(*case, block)
 
 
-# a one-channel block runs in tiles of budget // (max(filters + 1, taps)
-# x out_w) output rows, at least one
+# a one-channel block runs in tiles of budget // (max(filters, taps) x
+# out_w) output rows, at least one
 @pytest.mark.parametrize("layer,budget,tiles", [
     # 3 filters, 9 taps, 5x5 output: 45 floats per row; 90 gives tiles
     # of 2, 2 and a short last one of 1 row
@@ -145,8 +145,8 @@ def test_split_channel_blocks_equal_oracle_bytewise(case, block):
     # reading the padded plane from row 6
     pytest.param(LayerSpec("stride-2-pad-1", "conv", 3, 9, 9, 3, 2, 1, 4),
                  135, [3, 2], id="stride-2-pad-1"),
-    # 12 filters over an 8-wide output: one row's registers, 13 x 8 =
-    # 104 floats, exceed the budget of 60, so every tile is one row
+    # 12 filters over an 8-wide output: one row's registers, 12 x 8 =
+    # 96 floats, exceed the budget of 60, so every tile is one row
     pytest.param(LayerSpec("one-row", "conv", 2, 6, 8, 3, 1, 1, 12), 60,
                  [1] * 6, id="one-row"),
 ])
@@ -173,7 +173,7 @@ def test_summed_filter_registers_equal_scalar_reference(density, block):
     # flush the spare +0.0 row, with one, held at rank 0, and with
     # several; at d0.7 only filters with several. A budget of 500 gives
     # one-channel blocks: 24 filters x 7x9 windows exceed it, and tiles
-    # of 500 // (25 x 9) = 2 output rows, the last one short
+    # of 500 // (24 x 9) = 2 output rows, the last one short
     layer = LayerSpec("sel", "conv", 3, 7, 9, 3, 1, 1, 24)
     bank = random_sparse_filters(layer, density, 31)
     products = np.count_nonzero(bank.reshape(24, 3, 9), axis=2)
