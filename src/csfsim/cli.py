@@ -176,7 +176,6 @@ def _verify_layer(layer: LayerSpec, layer_seed: int, args) -> bool:
     else:
         expected = dense_fc(features, bank, layer)
     if args.corrupt_layer == layer.name:
-        bank = bank.copy()
         bank[0, 0, 0, 0] += 1.0
     actual, trace = run_layer_batched(bank, features, layer, args.batch_size)
     if actual.shape != expected.shape:

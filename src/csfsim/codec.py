@@ -110,9 +110,10 @@ class CsfStream:
             raise CsfFormatError(
                 f"counts promise {offsets[-1]} entries but rel holds "
                 f"{rel.size} and weights {weights.shape}")
-        # undo the delta coding in one running sum: each nonempty
-        # position's first entry first takes off the previous nonempty
-        # position's last index, the sum of that position's gaps
+        # undo the delta coding in one running sum, with no per-entry
+        # position array: each nonempty position's first entry first takes
+        # off the previous nonempty position's last index, the sum of that
+        # position's gaps
         starts = offsets[:-1][counts > 0]
         indices = rel.astype(np.int64)
         indices[starts[1:]] -= np.add.reduceat(indices, starts)[:-1]

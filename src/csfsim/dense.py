@@ -10,10 +10,9 @@ each product is its channel's partial sum, so outputs sum in input order.
 `dense_conv` walks the output in tiles of whole output rows, as many
 as fit `_PIXEL_BLOCK` pixels and at least one, and gives each tile one
 float32 accumulator: the tile's output rows, then at most one
-partial-sum row per filter. Per tile it skips a channel with no nonzero
-weight, copies each other channel's k*k window rows into one contiguous
-scratch row each, and adds its products by its share of nonzero
-weights:
+partial-sum row per filter. Per tile it copies each channel's k*k
+window rows into one contiguous scratch row each, and adds its products
+by its share of nonzero weights:
 
 - a dense channel, with a share of at least `_DENSE_SHARE`, multiplies
   every weight: tap 0's (filters, 1) weight column times its window row
@@ -57,9 +56,8 @@ The zero rule makes skipping zero weights exact: a partial sum starts at
 are -0.0, so a partial is never -0.0. Inputs are finite (`as_f32`
 rejects NaN and Inf), so a zero weight's product is +-0.0, and adding
 +-0.0 to a partial that is not -0.0 leaves it unchanged. The same rule
-keeps the output, which starts at +0.0, free of -0.0, so a channel with
-no nonzero weight is skipped before its window planes are copied, and a
-single product p may go straight into the output: its partial would be
+keeps the output, which starts at +0.0, free of -0.0, so a single
+product p may go straight into the output: its partial would be
 +0.0 + p, which differs from p only when p is -0.0, and adding either
 zero to the output gives the same bytes. By the same rule a dense
 channel's partials may start at tap 0's products instead of +0.0 and
@@ -236,8 +234,6 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
             counts, bounds, target, weight, flush_bounds, flush = _list_group(
                 w, c0, min(layer.channels, c0 + group))
             for j, count in enumerate(counts):
-                if not count:
-                    continue
                 _copy_windows(padded[:, y0 * layer.stride:],
                               slice(c0 + j, c0 + j + 1), layer, windows)
                 if count >= _DENSE_SHARE * cells:
@@ -265,8 +261,7 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
                 part.fill(0.0)
                 for t in range(taps):
                     lo, hi = ends[t], ends[t + 1]
-                    if hi > lo:
-                        acc[target[lo:hi]] += weight[lo:hi] * tile_rows[t]
+                    acc[target[lo:hi]] += weight[lo:hi] * tile_rows[t]
                 tile_out[flush[f0:f1]] += part
         if not y0:
             # made once the first tile is done, so that a one-tile layer

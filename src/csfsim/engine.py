@@ -200,13 +200,12 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
     del slot
     # flat scratch for the largest tile, reshaped per tile so that every
     # take writes a contiguous array: the window rows, the registers with
-    # one spare row for the pairs with no product, one rank's products
-    # (rank 1 is the largest that adds into registers) and one flush
+    # one spare row for the pairs with no product and one rank's products
+    # (rank 1 is the largest that adds into registers)
     tile = rows * out_w
     window_rows = np.empty(block * taps * tile, np.float32)
     register_file = np.empty((pairs + 1) * tile, np.float32)
     products = np.empty(above[:, 1:].max(initial=0) * tile, np.float32)
-    flushed = np.empty(filters * tile, np.float32)
     # each block with entries: its channels, the (start, count) of each
     # rank that has entries, and its pairs' flush slots channel by channel
     plan = [(c0, min(channels, c0 + block),
@@ -223,7 +222,6 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
         tile_rows = tile_windows.reshape(-1, pixels)
         registers = register_file[:(pairs + 1) * pixels].reshape(
             pairs + 1, pixels)
-        tile_flush = flushed[:filters * pixels].reshape(filters, pixels)
         tile_out = out[:, y0 * out_w:y1 * out_w]
         for c0, c1, ranks, chan_slots in plan:
             _copy_windows(padded[:, y0 * layer.stride:], slice(c0, c1),
@@ -243,9 +241,7 @@ def run_conv(stream: CsfStream, features, layer: LayerSpec):
             # the spare row past the rank-0 registers
             registers[ranks[0][1]] = 0.0
             for slots in chan_slots:
-                np.take(registers, slots, axis=0, out=tile_flush,
-                        mode="clip")
-                tile_out += tile_flush
+                tile_out += registers.take(slots, axis=0)
     return out.reshape(filters, out_h, out_w), stack_trace(
         stream.total_nnz, stream.position_count, channels, windows)
 

@@ -15,7 +15,8 @@ from pathlib import Path
 from .layers import LayerSpec
 
 # config key -> (LayerSpec field, value type), in the order render writes
-# them and the bundled files use
+# them and the bundled files use; parsing, its checks and rendering all
+# read this one table
 _KEYS = {
     "name": ("name", str),
     "type": ("kind", str),

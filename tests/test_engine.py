@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from csfsim import (LayerSpec, TraceCounters, dense_conv, dense_fc,
-                    encode_csf, engine, output_shape, random_sparse_filters,
-                    run_conv, run_fc, run_layer_batched, stack_filters)
+                    encode_csf, engine, output_shape, plan_filter_grouping,
+                    random_sparse_filters, run_conv, run_fc,
+                    run_layer_batched, stack_filters)
 from csfsim.cli import _load_config
 from scalar_engine import EngineContext
 
@@ -330,6 +331,14 @@ _PLANS = [
 ]
 
 
+def _real_layer(config, name):
+    """Layer `name` of a bundled config, or of a config beside this file."""
+    path = Path(__file__).with_name(config) if "." in config else config
+    layer, = [layer for layer in _load_config(str(path))
+              if layer.name == name]
+    return layer
+
+
 class _FirstCopy(Exception):
     """Stops a run at its first window copy, with that block's plan."""
 
@@ -337,9 +346,7 @@ class _FirstCopy(Exception):
 @pytest.mark.parametrize("config,name,plans", _PLANS,
                          ids=[f"{c}-{n}" for c, n, _ in _PLANS])
 def test_plan_on_real_layers(monkeypatch, config, name, plans):
-    path = Path(__file__).with_name(config) if "." in config else config
-    layer, = [layer for layer in _load_config(str(path))
-              if layer.name == name]
+    layer = _real_layer(config, name)
 
     def first_copy(padded, chans, _, out):
         raise _FirstCopy(out.shape[1], out.shape[-2])
@@ -353,3 +360,25 @@ def test_plan_on_real_layers(monkeypatch, config, name, plans):
             run_layer_batched(bank, features, layer, stack)
         seen.append(stop.value.args)
     assert seen == plans
+
+
+@pytest.mark.parametrize("config,name", [(c, n) for c, n, _ in _PLANS],
+                         ids=[f"{c}-{n}" for c, n, _ in _PLANS])
+def test_counters_match_the_grouping_plan(config, name):
+    # in the filter-grouping plan's stacks, the plan's feature traffic is
+    # the engine's counter in other units: per stack the engine fetches
+    # C*k*k*out_h*out_w features, one per position and output pixel,
+    # where the plan loads the C*H*W input once; and one instruction per
+    # channel and output pixel gives the stack count. Neither counter
+    # depends on the weights, so an all-zero bank runs no products
+    layer = _real_layer(config, name)
+    plan = plan_filter_grouping(layer, 200704)
+    out_w, out_h = output_shape(layer)
+    _, trace = run_layer_batched(
+        np.zeros(layer.bank_shape, np.float32),
+        np.zeros((layer.channels, layer.height, layer.width), np.float32),
+        layer, plan.batch_size)
+    assert (trace.feature_loads * layer.height * layer.width
+            == layer.kernel ** 2 * out_h * out_w * plan.total_features_loaded)
+    assert (trace.simd_instructions // (layer.channels * out_h * out_w)
+            == plan.batches)
