@@ -19,7 +19,7 @@ import struct
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .engine import run_layer_batched
 from .layers import LayerSpec, mac_count
 from .netconfig import NetworkConfig, load_network_config, parse_network_config
 from .perf import PerfParams, dense_trace, efficiency_per_pe, predict_runtime
-from .tiling import PlanError, plan_feature_division, plan_filter_grouping
+from .tiling import (DivisionPlan, GroupingPlan, PlanError,
+                     plan_feature_division, plan_filter_grouping)
 
 _BANK_HEADER = struct.Struct("<IIII")
 
@@ -203,68 +204,61 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-class _Section(NamedTuple):
-    """One planner's results for every layer of a config."""
+def _plan_sections(config, args) -> list[tuple]:
+    """Run each requested planner once per layer (shared by plan and report).
 
-    title: str
-    headers: list       # text columns between layer and note
-    columns: list       # the plan's fields, one csv column and cell each
-    text_cells: Callable  # cells as the text table shows them
-    results: list       # per layer: (cells, note); cells None if infeasible
-
-
-def _resolve(config, columns, planner, *plan_args) -> list:
-    """Per layer the plan's `columns` fields and its note, or (None, note)."""
-    results = []
-    for layer in config:
-        try:
-            plan = planner(layer, *plan_args)
-        except PlanError as exc:
-            results.append((None, f"infeasible: {exc}"))
-        else:
-            results.append(([getattr(plan, c) for c in columns],
-                            getattr(plan, "note", None)))
-    return results
-
-
-def _plan_sections(config, args) -> list[_Section]:
-    """Run each requested planner once per layer (shared by plan and report)."""
-    sections = []
+    A section is (title, columns, results): the plan's fields but `note`,
+    and per layer (cells, note), cells None where the layer is infeasible.
+    """
+    runs = []
     if args.div_budget is not None:
         tile = None if args.budget_max else args.tile
         mode = f"tile {tile}" if tile is not None else "largest tile in budget"
-        columns = ["grid_h", "grid_w", "load_times", "filter_weights",
-                   "total_weights_loaded"]
-        sections.append(_Section(
-            f"feature division (output buffer budget {args.div_budget}, {mode})",
-            ["grid", "load times", "filter weights", "total weights loaded"],
-            columns, lambda cells: [f"{cells[0]}x{cells[1]}", *cells[2:]],
-            _resolve(config, columns, plan_feature_division,
-                     args.div_budget, tile)))
+        runs.append((f"feature division (output buffer budget "
+                     f"{args.div_budget}, {mode})", DivisionPlan,
+                     plan_feature_division, (args.div_budget, tile)))
     if args.grp_budget is not None:
-        columns = ["batch_size", "batches", "features", "total_features_loaded"]
-        sections.append(_Section(
-            f"filter grouping (output buffer budget {args.grp_budget})",
-            ["batch size", "batches", "features", "total features loaded"],
-            columns, list,
-            _resolve(config, columns, plan_filter_grouping, args.grp_budget)))
+        runs.append((f"filter grouping (output buffer budget {args.grp_budget})",
+                     GroupingPlan, plan_filter_grouping, (args.grp_budget,)))
+    sections = []
+    for title, plan_type, planner, plan_args in runs:
+        columns = [f.name for f in dataclasses.fields(plan_type)
+                   if f.name != "note"]
+        results = []
+        for layer in config:
+            try:
+                plan = planner(layer, *plan_args)
+            except PlanError as exc:
+                results.append((None, f"infeasible: {exc}"))
+            else:
+                results.append(([getattr(plan, c) for c in columns],
+                                getattr(plan, "note", None)))
+        sections.append((title, columns, results))
     return sections
 
 
 def _print_sections(config, sections) -> None:
     """Each section as a titled table whose totals sum the last two cells."""
-    for i, section in enumerate(sections):
+    for i, (title, columns, results) in enumerate(sections):
         if i:
             print()
-        print(section.title)
-        ncols = len(section.headers)
-        rows = [[layer.name, *(["-"] * ncols if cells is None
-                               else section.text_cells(cells)), note or ""]
-                for layer, (cells, note) in zip(config, section.results)]
-        feasible = [cells for cells, _ in section.results if cells is not None]
+        print(title)
+        # headers are the columns, spaced; grid_h and grid_w are one AxB cell
+        grid = columns[:2] == ["grid_h", "grid_w"]
+        headers = [c.replace("_", " ") for c in columns]
+        if grid:
+            headers[:2] = ["grid"]
+        rows = []
+        for layer, (cells, note) in zip(config, results):
+            if cells is None:
+                cells = ["-"] * len(headers)
+            elif grid:
+                cells = [f"{cells[0]}x{cells[1]}", *cells[2:]]
+            rows.append([layer.name, *cells, note or ""])
+        feasible = [cells for cells, _ in results if cells is not None]
         totals = [sum(cells[col] for cells in feasible) for col in (-2, -1)]
-        rows.append(["total", *[""] * (ncols - 2), *totals, ""])
-        _print_table(["layer", *section.headers, "note"], rows)
+        rows.append(["total", *[""] * (len(headers) - 2), *totals, ""])
+        _print_table(["layer", *headers, "note"], rows)
 
 
 def _write_sections_csv(headers, leading, sections) -> None:
@@ -272,13 +266,13 @@ def _write_sections_csv(headers, leading, sections) -> None:
     rows = []
     for i, lead in enumerate(leading):
         row, notes = list(lead), []
-        for section in sections:
-            cells, note = section.results[i]
-            row += [""] * len(section.columns) if cells is None else cells
+        for _, columns, results in sections:
+            cells, note = results[i]
+            row += [""] * len(columns) if cells is None else cells
             if note:
                 notes.append(note)
         rows.append([*row, "; ".join(notes)])
-    columns = [c for section in sections for c in section.columns]
+    columns = [c for _, section_columns, _ in sections for c in section_columns]
     _write_csv([*headers, *columns, "note"], rows)
 
 

@@ -110,8 +110,6 @@ def as_f32(values, dims=None) -> np.ndarray:
 
 def pad_channels(features: np.ndarray, pad: int) -> np.ndarray:
     """Zero border of `pad` elements on every side of each channel plane."""
-    if pad == 0:
-        return features
     return np.pad(features, ((0, 0), (pad, pad), (pad, pad)))
 
 

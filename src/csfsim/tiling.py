@@ -68,7 +68,6 @@ def plan_feature_division(layer: LayerSpec, budget: int,
     out_w, out_h = output_shape(layer)
     if tile is None:
         t = math.isqrt(budget // layer.filters)
-        t = min(t, max(out_h, out_w))
     else:
         if tile < 1:
             raise PlanError(f"{layer.name}: tile size {tile} must be >= 1")

@@ -22,6 +22,15 @@ from csfsim.tiling import DivisionPlan, GroupingPlan
 
 # Complete outputs, pinned byte for byte: the note column's right
 # justification, infeasible rows, totals rows and "; "-joined notes.
+MACS_LENET = """\
+layer  kind     macs  millions
+CONV1  conv   288000    0.2880
+CONV2  conv  1600000    1.6000
+FC1      fc   400000    0.4000
+FC2      fc     5000    0.0050
+total        2293000    2.2930
+"""
+
 REPORT_LENET = """\
 arithmetic and predicted timing (8 processing elements at 299.97 MHz)
 layer  kind     macs  millions  predicted ms  efficiency
@@ -190,6 +199,7 @@ class TestEncodeDecode:
                            "-o", str(out_path))
         assert code == 0
         assert "profile   conv" in out
+        assert out.splitlines()[-1] == f"wrote {out_path}"
         assert np.array_equal(read_weight_bank(out_path), bank)
         assert out_path.read_bytes() == path.read_bytes()
 
@@ -214,6 +224,25 @@ class TestEncodeDecode:
         stream = deserialize_csf(stream_path.read_bytes())
         assert stream.profile == "fc"
         assert stream.position_count == 3 * 3 * 3
+
+    def test_fc_stream_decodes_to_a_flat_bank(self, capsys, tmp_path,
+                                              bank_file):
+        # an fc stream keeps no (channels, height, width) split, so decode
+        # -o writes one channel per position, and encoding that bank as fc
+        # gives the same stream bytes
+        path, bank = bank_file
+        stream_path, flat_path = tmp_path / "fc.csf", tmp_path / "flat.bin"
+        again_path = tmp_path / "again.csf"
+        assert run(capsys, "encode", str(path), "-o", str(stream_path),
+                   "--profile", "fc")[0] == 0
+        assert run(capsys, "decode", str(stream_path),
+                   "-o", str(flat_path))[0] == 0
+        flat = read_weight_bank(flat_path)
+        assert flat.shape == (10, 3 * 3 * 3, 1, 1)
+        assert flat.tobytes() == bank.tobytes()
+        assert run(capsys, "encode", str(flat_path), "-o", str(again_path),
+                   "--profile", "fc")[0] == 0
+        assert again_path.read_bytes() == stream_path.read_bytes()
 
     def test_decode_corrupt_file(self, capsys, tmp_path):
         path = tmp_path / "junk.csf"
@@ -630,8 +659,10 @@ class TestGoldenOutput:
           "200704", "--budget-max"], PLAN_ALEXNET_BUDGET_MAX),
         (["report", "alexnet", "--csv"], REPORT_ALEXNET_CSV),
         (["report", "vgg16", "--csv"], REPORT_VGG16_CSV),
+        (["macs", "lenet"], MACS_LENET),
     ], ids=["report-text", "report-csv", "plan-joined-notes-csv",
-            "plan-budget-max-text", "report-alexnet-csv", "report-vgg16-csv"])
+            "plan-budget-max-text", "report-alexnet-csv", "report-vgg16-csv",
+            "macs-text"])
     def test_complete_output(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 

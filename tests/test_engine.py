@@ -1,5 +1,6 @@
 """Streaming engine vs dense oracles, plus trace accounting."""
 
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,31 @@ class TestRunConv:
         bank = random_sparse_filters(other, 1.0, 0)
         with pytest.raises(ValueError, match="match"):
             run_conv(_conv_stream(bank), np.zeros((2, 6, 6)), layer)
+
+
+_BUFFER_LAYER = LayerSpec("u", "conv", 2, 6, 6, 3, 1, 1, 4)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda bank, x: dense_conv(x, bank, _BUFFER_LAYER), None),
+    (lambda bank, x: dense_conv(x, bank[:, :1], _BUFFER_LAYER),
+     "do not match"),
+    (lambda bank, x: run_conv(_conv_stream(bank), x, _BUFFER_LAYER), None),
+    (lambda bank, x: run_conv(_conv_stream(bank[:, :1]), x, _BUFFER_LAYER),
+     "does not match"),
+], ids=["dense_conv", "dense_conv-wrong-bank", "run_conv",
+        "run_conv-mismatched-stream"])
+def test_ufunc_buffer_restored(call, error):
+    # the oracle and the engine shrink numpy's ufunc buffer while they
+    # run; it must be back when they return, and when they raise
+    bank = random_sparse_filters(_BUFFER_LAYER, 0.5, 90)
+    x = _rand_input((2, 6, 6), 91)
+    before = np.getbufsize()
+    assert before != 128
+    with (pytest.raises(ValueError, match=error) if error
+          else contextlib.nullcontext()):
+        call(bank, x)
+    assert np.getbufsize() == before
 
 
 class TestRunLayerBatched:

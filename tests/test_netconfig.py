@@ -99,8 +99,10 @@ class TestParse:
         ("[layer]\nname = F\ntype = fc\nin_channels = 2\nin_height = 2\n"
          "in_width = 2\nkernel = 3\n", "filters"),
         ("[layer]\nname = F\ntype = fc\nkernel = 3\n", "in_channels"),
+        ("[layer]\nname = C\ntype = conv\nin_channels = 2\nin_height = 4\n"
+         "in_width = 4\nstride = 1\npad = 0\nfilters = 3\n", "kernel"),
     ], ids=["conv-without-kernel-or-filters", "fc-with-kernel",
-            "fc-with-only-kernel"])
+            "fc-with-only-kernel", "conv-without-only-kernel"])
     def test_first_of_several_faults_reported(self, text, key):
         # keys every layer needs are checked in render order, then the
         # conv-only keys: missing for conv, present for fc
