@@ -37,12 +37,12 @@ float32 additions any one output element sees.
 The counting and listing, the set-up, runs once per row tile and group
 of channels: a group holds as many whole channels as fit `_GROUP_CELLS`
 (channel, tap, filter) cells, and at least one. A few whole-array
-passes over the group's transposed `!= 0` mask give every channel's
-count, so its dense or listed path, one `flatnonzero` listing of the
-listed channels' pairs in the order above, their weights, target rows
-and every (channel, tap) bound, and each channel's flush rows. Every
-index array is numpy's own `intp`, so no fancy index converts its index
-on each use. The groups change no arithmetic.
+passes over the group's transposed `!= 0` mask give each channel its
+path and plan: a dense channel has no plan, and a listed channel's
+holds, per tap, the target rows and weight column of its pairs in the
+order above, and the filters its partial sums flush into. Every index
+array is numpy's own `intp`, so no fancy index converts its index on
+each use. The groups change no arithmetic.
 
 `dense_conv` sets numpy's ufunc buffer to 128 elements: at the default
 8192, multiplying rows of a few hundred to 3000 floats by a weight
@@ -148,22 +148,17 @@ def _bank(weights, layer: LayerSpec) -> np.ndarray:
     return w
 
 
-def _list_group(w: np.ndarray, c0: int, c1: int) -> tuple:
+def _list_group(w: np.ndarray, c0: int, c1: int) -> list:
     """Count and list the nonzero weights of channels c0:c1 of bank `w`.
 
     A channel below the dense share lists its nonzero (tap, filter)
-    pairs in tap-major order, and the channels' lists follow each other.
-    A filter with a single product in a channel adds it into its output
-    row; the others add into partial-sum rows, kept for the filters with
-    two or more products in filter order from row `filters` of the
-    accumulator. Returns, with i = channel * taps + tap counted from c0:
-
-    - counts: each channel's nonzero weights;
-    - bounds, target, weight: (channel, tap) i adds the pairs
-      bounds[i]:bounds[i + 1], each weight (a column) times the window
-      row into accumulator row target;
-    - flush_bounds, flush: channel j's partial-sum rows flush into
-      filters flush[flush_bounds[j]:flush_bounds[j + 1]].
+    pairs in tap-major order. A filter with a single product in a
+    channel adds it into its output row; the others add into partial-sum
+    rows, kept for the filters with two or more products in filter order
+    from row `filters` of the accumulator. Returns one plan per channel:
+    None for a dense channel, else the (target rows, weight column)
+    slices of each of its taps and the filters its partial-sum rows
+    flush into, in row order.
     """
     filters, channels, k, _ = w.shape
     taps, n = k * k, c1 - c0
@@ -171,15 +166,16 @@ def _list_group(w: np.ndarray, c0: int, c1: int) -> tuple:
     nonzero = (w[:, c0:c1].reshape(filters, n * taps) != 0).T.copy()
     nonzero = nonzero.reshape(n, taps * filters)
     # per row: with an axis, count_nonzero casts the mask to integers
-    counts = [np.count_nonzero(row) for row in nonzero]
-    nonzero[np.greater_equal(counts, _DENSE_SHARE * taps * filters)] = False
+    dense = [np.count_nonzero(row) >= _DENSE_SHARE * taps * filters
+             for row in nonzero]
+    nonzero[dense] = False
     at, filt = np.divmod(np.flatnonzero(nonzero), filters)
     # the bank holds a pair's weight at ((filt * channels) + c0) * taps + at
     index = filt * channels
     index += c0
     index *= taps
     index += at
-    weight = w.reshape(-1).take(index)
+    weight = w.reshape(-1).take(index)[:, None]
     # (channel, filter) of each pair
     key = at // taps
     key *= filters
@@ -189,10 +185,15 @@ def _list_group(w: np.ndarray, c0: int, c1: int) -> tuple:
     rows = np.cumsum(multi, axis=1)
     rows += filters - 1
     rows = np.where(multi, rows, np.arange(filters))
-    flush_bounds = np.cumsum(np.count_nonzero(multi, axis=1)).tolist()
-    return (counts, np.searchsorted(at, np.arange(n * taps + 1)).tolist(),
-            rows.reshape(-1).take(key), weight[:, None], [0] + flush_bounds,
-            np.flatnonzero(multi) % filters)
+    target = rows.reshape(-1).take(key)
+    # channel j's tap t adds the pairs from bounds[j * taps + t] to the next
+    bounds = np.searchsorted(at, np.arange(n * taps + 1))
+    starts = bounds[:-1].reshape(n, taps).tolist()
+    ends = bounds[1:].reshape(n, taps).tolist()
+    return [None if is_dense else (
+        [(target[lo:hi], weight[lo:hi]) for lo, hi in zip(los, his)],
+        np.flatnonzero(summed))
+        for is_dense, los, his, summed in zip(dense, starts, ends, multi)]
 
 
 @_small_ufunc_buffer()
@@ -210,14 +211,13 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
     out_w, out_h = output_shape(layer)
     k, filters = layer.kernel, w.shape[0]
     taps = k * k
-    cells = taps * filters
     padded = pad_channels(x, layer.pad)
     rows = min(out_h, max(1, _PIXEL_BLOCK // out_w))
     # flat scratch for the largest tile, reshaped per tile: the window
     # rows, and the accumulator's output rows then partial-sum rows
     window_rows = np.empty(taps * rows * out_w, np.float32)
     accumulator = np.empty(2 * filters * rows * out_w, np.float32)
-    group = max(1, _GROUP_CELLS // max(1, cells))
+    group = max(1, _GROUP_CELLS // max(1, taps * filters))
     # one tile of products for the dense channels, made on the first one
     product = None
     for y0 in range(0, out_h, rows):
@@ -229,12 +229,11 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
         tile_out = acc[:filters]
         tile_out.fill(0.0)
         for c0 in range(0, layer.channels, group):
-            counts, bounds, target, weight, flush_bounds, flush = _list_group(
-                w, c0, min(layer.channels, c0 + group))
-            for j, count in enumerate(counts):
+            plans = _list_group(w, c0, min(layer.channels, c0 + group))
+            for j, plan in enumerate(plans):
                 _copy_windows(padded[:, y0 * layer.stride:],
                               slice(c0 + j, c0 + j + 1), layer, windows)
-                if count >= _DENSE_SHARE * cells:
+                if plan is None:
                     # every weight: tap 0's products are the partial sums
                     if product is None:
                         product = np.empty(filters * rows * out_w,
@@ -248,19 +247,17 @@ def dense_conv(features, weights, layer: LayerSpec) -> np.ndarray:
                         part += prod
                     tile_out += part
                     continue
-                # tap t's pairs ends[t]:ends[t + 1] add into rows target:
-                # a lone product into its output row, the others into
-                # partial sums that flush into filters flush[f0:f1]
-                ends = bounds[j * taps:(j + 1) * taps + 1]
-                f0, f1 = flush_bounds[j], flush_bounds[j + 1]
-                part = acc[filters:filters + f1 - f0]
+                # each tap adds into rows target: a lone product into its
+                # output row, the others into partial sums that flush into
+                # filters flush
+                pairs, flush = plan
+                part = acc[filters:filters + flush.size]
                 # start from +0.0 like a zeroed register file, so products
                 # that are all -0.0 still sum to +0.0
                 part.fill(0.0)
-                for t in range(taps):
-                    lo, hi = ends[t], ends[t + 1]
-                    acc[target[lo:hi]] += weight[lo:hi] * tile_rows[t]
-                tile_out[flush[f0:f1]] += part
+                for tile_row, (target, weight) in zip(tile_rows, pairs):
+                    acc[target] += weight * tile_row
+                tile_out[flush] += part
         if not y0:
             # made once the first tile is done, so that a one-tile layer
             # holds the output beside its accumulator only at the end

@@ -45,11 +45,13 @@ def paths():
             lambda padded, chans, layer, out, _: out.shape[-2])
         spy("engine copies", engine, "_copy_windows",
             lambda padded, chans, layer, out, _: (chans, out.shape))
-        # each group's channel count and its channels' paths
+        # each group's channel count and its channels' paths: a dense
+        # channel has no plan, a listed one lists its taps' pairs
         spy("groups", dense, "_list_group",
-            lambda w, c0, c1, result: (c1 - c0, {
-                "dense" if count >= dense._DENSE_SHARE * w[:, 0].size
-                else "listed" if count else "empty" for count in result[0]}))
+            lambda w, c0, c1, plans: (c1 - c0, {
+                "dense" if plan is None
+                else "listed" if any(target.size for target, _ in plan[0])
+                else "empty" for plan in plans}))
         assert cli.main([
             "verify", str(BIG_CFG), "--density", "0.4", "--seed", "1"]) == 0
     assert tuple(current) == load_network_config(BIG_CFG).layers

@@ -397,6 +397,29 @@ class TestDenseConv:
         assert out.tobytes() == _brute_conv(x, bank, layer).tobytes()
         assert not (np.signbit(out) & (out == 0)).any()
 
+    def test_list_group_plans_each_channel(self):
+        # the group is channels 1 to 3 of a 4-filter, 3x3 bank, 36 cells
+        # a channel: channel 1 holds all 36 weights, channel 2 gives
+        # filter 3 products at taps 0 and 4 and filter 1 one at tap 4,
+        # and channel 3 holds only zeros, some -0.0
+        bank = np.zeros((4, 4, 3, 3), np.float32)
+        bank[:, 0] = 7.0
+        bank[:, 1] = 1.0 + np.arange(36).reshape(4, 3, 3)
+        bank[3, 2, 0, 0], bank[3, 2, 1, 1], bank[1, 2, 1, 1] = -1.5, 2.0, 0.5
+        bank[:2, 3] = -0.0
+        dense_plan, (pairs, flush), (no_pairs, no_flush) = dense._list_group(
+            bank, 1, 4)
+        assert dense_plan is None
+        # filter 1's only product goes straight into its output row, and
+        # filter 3's two into the first partial-sum row, row 4
+        assert [(target.tolist(), weight.tolist())
+                for target, weight in pairs] == [
+            ([4], [[-1.5]]), ([], []), ([], []), ([], []),
+            ([1, 4], [[0.5], [2.0]]), ([], []), ([], []), ([], []), ([], [])]
+        assert flush.tolist() == [3]
+        assert len(no_pairs) == 9 and not any(t.size for t, _ in no_pairs)
+        assert no_flush.size == 0
+
     @pytest.mark.parametrize("density", [0.1, 0.5, 1.0],
                              ids=["d0.1", "d0.5", "d1.0"])
     @_TILES
