@@ -111,8 +111,8 @@ def _cmd_encode(args) -> int:
     quantized = args.quantize_shift is not None
     if quantized:
         bank = quantize_shift(bank, *args.quantize_shift)
-    stacked = stack_filters(bank, 0, bank.shape[0])
-    stream = encode_csf(stacked, args.profile, quantized=quantized)
+    stream = encode_csf(stack_filters(bank, 0, bank.shape[0]), args.profile,
+                        quantized=quantized)
     payload = serialize_csf(stream)
     Path(args.output).write_bytes(payload)
     print(f"{args.output}: {stream.filters} filters, "
@@ -134,10 +134,7 @@ def _cmd_decode(args) -> int:
     ):
         print(f"{key:<10}{value}")
     if args.output:
-        # an fc stream's kernel is 1, so both profiles unstack alike
-        bank = np.moveaxis(decode_csf(stream), -1, 0).reshape(
-            stream.filters, stream.channels, stream.kernel, stream.kernel)
-        write_weight_bank(args.output, bank)
+        write_weight_bank(args.output, decode_csf(stream))
         print(f"wrote {args.output}")
     return 0
 

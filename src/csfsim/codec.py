@@ -9,7 +9,8 @@ delta coded: the first entry's relative index is its absolute filter index,
 each later entry's is the gap from the previous nonzero filter. Zero weights
 are never encoded, and a stream that stores one is malformed. In memory a
 `CsfStream` holds the same stream as three flat arrays: the counts, then
-every entry's relative index and weight.
+every entry's relative index and weight. A stack of filters is held as
+the bank holds it, filter first: (filters, channels, k, k) for conv.
 
 Byte layout (little endian throughout):
 
@@ -156,23 +157,18 @@ class CsfStream:
 
 
 def stack_filters(bank: np.ndarray, start: int, size: int) -> np.ndarray:
-    """Slice `size` filters from a bank and move the filter axis innermost.
-
-    Input bank is (filters, ...spatial); result is (...spatial, size), a
-    view of the bank, not a copy: a position index walks the spatial axes
-    in C order, and the filter axis steps across the filter-major slice.
-    """
+    """Slice `size` filters from a (filters, ...spatial) bank, as a view."""
     if start < 0 or size < 1 or start + size > bank.shape[0]:
         raise ValueError(
             f"stack [{start}, {start + size}) outside bank of {bank.shape[0]}"
         )
-    return np.moveaxis(bank[start:start + size], 0, -1)
+    return bank[start:start + size]
 
 
 def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> CsfStream:
-    """Encode a stacked filter block (...spatial, m) into a stream.
+    """Encode a stacked filter block (m, ...spatial) into a stream.
 
-    Conv stacks must be (channels, kernel, kernel, m); fc stacks may carry
+    Conv stacks must be (m, channels, kernel, kernel); fc stacks may carry
     any spatial shape, which is flattened to one position per input element.
     Non-finite weights raise CsfFormatError, as does a stack whose counts
     or relative indices do not fit their u16 fields.
@@ -180,32 +176,33 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
     arr = np.asarray(stacked, dtype=np.float32)
     if arr.ndim < 2:
         raise CsfFormatError("stacked block needs spatial axes plus a filter axis")
-    m = arr.shape[-1]
+    m = arr.shape[0]
     # named, not -1: numpy cannot infer -1 for an empty filter axis
-    positions = math.prod(arr.shape[:-1])
+    positions = math.prod(arr.shape[1:])
     if profile == "conv":
-        if arr.ndim != 4 or arr.shape[1] != arr.shape[2]:
+        if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
             raise CsfFormatError(
-                f"conv stack must be (channels, kernel, kernel, m), got {arr.shape}"
+                f"conv stack must be (m, channels, kernel, kernel), got {arr.shape}"
             )
-        channels, kernel = arr.shape[0], arr.shape[1]
+        channels, kernel = arr.shape[1], arr.shape[2]
     else:
         channels, kernel = positions, 1
-    flat = arr.reshape(positions, m)
-    # flat indices p * m + f of the nonzeros, in (position, filter) order:
-    # the floats are compared in the block's own layout and flatnonzero
-    # transposes the mask as bools, cheaper than comparing strided floats
-    idx = np.flatnonzero(flat != 0)
+    flat = arr.reshape(m, positions)
+    # flat indices p * m + f of the nonzeros, in the stream's (position,
+    # filter) order: the floats are compared in the bank's own layout and
+    # flatnonzero transposes the mask as bools, cheaper than comparing
+    # strided floats
+    idx = np.flatnonzero((flat != 0).T)
     # position p's entries are offsets[p]:offsets[p + 1]
     offsets = np.searchsorted(idx, np.arange(positions + 1) * m)
     counts = np.diff(offsets)
     # each entry's position, then its filter index in place
     pos = np.repeat(np.arange(positions), counts)
     idx -= pos * m
-    # the weights from the filter-major (m, positions) layout, which for
-    # a stack_filters view is the bank's own slice, not a copy
+    # the weights from the (m, positions) block, which for a contiguous
+    # stack is the bank's own slice, not a copy
     pos += idx * positions
-    weights = np.take(flat.T.ravel(), pos)
+    weights = np.take(flat.ravel(), pos)
     del pos
     rel = np.diff(idx, prepend=0)
     # each nonempty position's first entry carries its index itself
@@ -217,19 +214,16 @@ def encode_csf(stacked: np.ndarray, profile: str, quantized: bool = False) -> Cs
 
 
 def decode_csf(stream: CsfStream) -> np.ndarray:
-    """Expand a stream back to a dense stacked block (...spatial, m).
+    """Expand a stream back to the dense bank (m, channels, kernel, kernel).
 
-    The block is a transposed view of a filter-major (m, positions) array,
-    so moving its filter axis back to the front costs no copy.
+    An fc stream's bank is (m, positions, 1, 1): both are the bank
+    `decode -o` writes.
     """
-    if stream.profile == "conv":
-        shape = (stream.channels, stream.kernel, stream.kernel, stream.filters)
-    else:
-        shape = (stream.channels, stream.filters)
     out = np.zeros((stream.filters, stream.position_count), np.float32)
     rows = np.repeat(np.arange(stream.position_count), stream.counts)
     out[stream.indices, rows] = stream.weights
-    return out.T.reshape(shape)
+    return out.reshape(stream.filters, stream.channels, stream.kernel,
+                       stream.kernel)
 
 
 def serialize_csf(stream: CsfStream) -> bytes:

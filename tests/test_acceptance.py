@@ -237,7 +237,7 @@ def test_codec_soundness():
         if profile == "conv":
             assert np.array_equal(decoded, stacked)
         else:
-            assert np.array_equal(decoded, stacked.reshape(-1, m))
+            assert np.array_equal(decoded, stacked.reshape(m, -1, 1, 1))
         assert deserialize_csf(serialize_csf(stream)) == stream
         assert stream.total_nnz == np.count_nonzero(stacked)
         roundtrips += 1
@@ -245,7 +245,7 @@ def test_codec_soundness():
 
     # golden bytes for the all-zero two-filter single-position stream,
     # hand-assembled from the layout table
-    stream = encode_csf(np.zeros((1, 1, 1, 2), np.float32), "conv")
+    stream = encode_csf(np.zeros((2, 1, 1, 1), np.float32), "conv")
     want = (b"CSF1" + struct.pack("<HBB", 1, 1, 0)
             + struct.pack("<IIII", 2, 1, 1, 1) + struct.pack("<H", 0))
     assert serialize_csf(stream) == want

@@ -20,18 +20,14 @@ class TestStackFilters:
     def test_single_filter_stack(self):
         bank = _bank(m=4, density=1.0)
         stacked = stack_filters(bank, 2, 1)
-        assert stacked.shape == (2, 3, 3, 1)
-        assert np.array_equal(stacked[..., 0], bank[2])
+        assert stacked.shape == (1, 2, 3, 3)
+        assert np.array_equal(stacked[0], bank[2])
 
-    def test_stack_unstack_roundtrip(self):
+    def test_stack_is_the_bank_slice(self):
         bank = _bank(m=6, density=0.7, seed=3)
         stacked = stack_filters(bank, 1, 4)
-        assert np.array_equal(np.moveaxis(stacked, -1, 0), bank[1:5])
-
-    def test_index_map_spot_check(self):
-        bank = _bank(m=8, c=4, density=1.0, seed=5)
-        stacked = stack_filters(bank, 2, 5)
-        assert stacked[1, 2, 0, 3] == bank[2 + 3, 1, 2, 0]
+        assert np.array_equal(stacked, bank[1:5])
+        assert np.shares_memory(stacked, bank)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -54,13 +50,13 @@ class TestStackFilters:
 
 class TestEncode:
     def test_all_zero_batch(self):
-        stream = encode_csf(np.zeros((2, 3, 3, 4), np.float32), "conv")
+        stream = encode_csf(np.zeros((4, 2, 3, 3), np.float32), "conv")
         assert stream.position_count == 18
         assert stream.counts.tolist() == [0] * 18
         assert stream.total_nnz == 0
 
-    @pytest.mark.parametrize("shape, profile", [((1, 1, 1, 0), "conv"),
-                                                ((2, 3, 0), "fc")])
+    @pytest.mark.parametrize("shape, profile", [((0, 1, 1, 1), "conv"),
+                                                ((0, 2, 3), "fc")])
     def test_empty_filter_axis(self, shape, profile):
         stream = encode_csf(np.zeros(shape, np.float32), profile)
         assert (stream.filters, stream.total_nnz) == (0, 0)
@@ -70,7 +66,7 @@ class TestEncode:
         assert deserialize_csf(blob) == stream
 
     def test_fully_dense_delta_pattern(self):
-        stream = encode_csf(np.ones((1, 1, 1, 4), np.float32), "conv")
+        stream = encode_csf(np.ones((4, 1, 1, 1), np.float32), "conv")
         rels = stream.rel[stream.offsets[0]:stream.offsets[1]].tolist()
         assert rels == [0, 1, 1, 1]
 
@@ -82,14 +78,14 @@ class TestEncode:
         assert np.array_equal(decode_csf(stream), stacked)
 
     def test_first_entry_is_absolute_index(self):
-        stacked = np.zeros((1, 1, 1, 8), np.float32)
-        stacked[0, 0, 0, 5] = 2.5
+        stacked = np.zeros((8, 1, 1, 1), np.float32)
+        stacked[5, 0, 0, 0] = 2.5
         stream = encode_csf(stacked, "conv")
         assert stream.counts[0] == 1
         assert (stream.rel[0], stream.weights[0]) == (5, 2.5)
 
     def test_fc_flattens_spatial_axes(self):
-        stacked = np.zeros((2, 3, 4, 6), np.float32)
+        stacked = np.zeros((6, 2, 3, 4), np.float32)
         stream = encode_csf(stacked, "fc")
         assert stream.profile == "fc"
         assert (stream.channels, stream.kernel) == (24, 1)
@@ -105,12 +101,12 @@ class TestEncode:
 
     def test_too_many_filters_for_index_field(self):
         with pytest.raises(CsfFormatError, match="u16"):
-            encode_csf(np.ones((1, 1, 1, 0x10000), np.float32), "conv")
+            encode_csf(np.ones((0x10000, 1, 1, 1), np.float32), "conv")
 
     def test_wide_stack_encodes_when_fields_fit(self):
         # the u16 fields bound counts and relative indices, not the stack
-        stacked = np.zeros((1, 1, 1, 70000), np.float32)
-        stacked[0, 0, 0, 3] = 1.5
+        stacked = np.zeros((70000, 1, 1, 1), np.float32)
+        stacked[3, 0, 0, 0] = 1.5
         stream = encode_csf(stacked, "conv")
         blob = serialize_csf(stream)
         assert len(blob) == 32
@@ -119,8 +115,8 @@ class TestEncode:
         assert np.array_equal(decode_csf(back), stacked)
 
     def test_wide_stack_relative_index_overflow(self):
-        stacked = np.zeros((1, 1, 1, 70000), np.float32)
-        stacked[0, 0, 0, 0x10000] = 1.5
+        stacked = np.zeros((70000, 1, 1, 1), np.float32)
+        stacked[0x10000, 0, 0, 0] = 1.5
         with pytest.raises(CsfFormatError, match="^rel value outside the u16"):
             encode_csf(stacked, "conv")
 
@@ -132,8 +128,8 @@ class TestEncode:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, bad):
-        stacked = np.ones((2, 3, 3, 4), np.float32)
-        stacked[1, 2, 0, 3] = bad
+        stacked = np.ones((4, 2, 3, 3), np.float32)
+        stacked[3, 1, 2, 0] = bad
         with pytest.raises(CsfFormatError, match="non-finite weight"):
             encode_csf(stacked, "conv")
 
@@ -156,15 +152,15 @@ class TestDecode:
     def test_single_entry_placement(self):
         stream = CsfStream("conv", 4, 1, 3, [1] + [0] * 8, [3], [2.5])
         dense = decode_csf(stream)
-        assert dense[0, 0, 0, 3] == 2.5
+        assert dense[3, 0, 0, 0] == 2.5
         assert np.count_nonzero(dense) == 1
 
-    # the block is a view of a filter-major array, so a bank in
-    # (filters, ...spatial) order needs no copy
+    # the bank comes back filter first and contiguous, as decode -o
+    # writes it
     @pytest.mark.parametrize("profile", ["conv", "fc"])
     def test_filter_axis_first_is_contiguous(self, profile):
         stream = encode_csf(stack_filters(_bank(m=8, c=3), 0, 8), profile)
-        bank = np.moveaxis(decode_csf(stream), -1, 0)
+        bank = decode_csf(stream)
         assert bank.flags.c_contiguous
 
     # malformed structure is caught when the stream is built, so no
@@ -241,7 +237,7 @@ class TestDecode:
             CsfStream("fc", 4, 2, 1, [0, 2], [0, 1], [1.0, bad])
 
     def test_arrays_are_read_only(self):
-        stream = encode_csf(np.ones((1, 1, 1, 4), np.float32), "conv")
+        stream = encode_csf(np.ones((4, 1, 1, 1), np.float32), "conv")
         with pytest.raises(ValueError):
             stream.weights[0] = 2.0
 
@@ -250,7 +246,7 @@ class TestSerialization:
     def test_golden_empty_stream_bytes(self):
         # hand-assembled from the layout: magic, version, profile, dtype,
         # filters, channels, kernel, position count, then one zero count
-        stream = encode_csf(np.zeros((1, 1, 1, 2), np.float32), "conv")
+        stream = encode_csf(np.zeros((2, 1, 1, 1), np.float32), "conv")
         blob = serialize_csf(stream)
         want = (b"CSF1"
                 + struct.pack("<HBB", 1, 1, 0)
@@ -260,8 +256,8 @@ class TestSerialization:
         assert len(blob) == 26
 
     def test_golden_single_entry_bytes(self):
-        stacked = np.zeros((1, 1, 1, 4), np.float32)
-        stacked[0, 0, 0, 3] = 2.5
+        stacked = np.zeros((4, 1, 1, 1), np.float32)
+        stacked[3, 0, 0, 0] = 2.5
         blob = serialize_csf(encode_csf(stacked, "conv"))
         want = (b"CSF1"
                 + struct.pack("<HBB", 1, 1, 0)
@@ -273,9 +269,9 @@ class TestSerialization:
     def test_golden_multi_position_bytes(self):
         # three positions with 2, 0 and 1 entries: every count word sits
         # in front of its own entries, the empty position's included
-        stacked = np.zeros((3, 1, 1, 4), np.float32)
-        stacked[0, 0, 0, [1, 3]] = 0.5, -2.0
-        stacked[2, 0, 0, 2] = 4.0
+        stacked = np.zeros((4, 3, 1, 1), np.float32)
+        stacked[[1, 3], 0, 0, 0] = 0.5, -2.0
+        stacked[2, 2, 0, 0] = 4.0
         stream = encode_csf(stacked, "conv")
         want = (b"CSF1"
                 + struct.pack("<HBB", 1, 1, 0)
@@ -323,32 +319,32 @@ class TestSerialization:
             deserialize_csf(b"CSF1\x01\x00")
 
     def test_truncated_entries(self):
-        stacked = np.ones((1, 1, 1, 4), np.float32)
+        stacked = np.ones((4, 1, 1, 1), np.float32)
         blob = serialize_csf(encode_csf(stacked, "conv"))
         for cut in (len(blob) - 1, len(blob) - 7, 25):
             with pytest.raises(CsfFormatError, match="truncated"):
                 deserialize_csf(blob[:cut])
 
     def test_trailing_bytes_rejected(self):
-        blob = serialize_csf(encode_csf(np.zeros((1, 1, 1, 2), np.float32),
+        blob = serialize_csf(encode_csf(np.zeros((2, 1, 1, 1), np.float32),
                                         "conv"))
         with pytest.raises(CsfFormatError, match="trailing"):
             deserialize_csf(blob + b"\x00")
 
     def test_bad_magic(self):
-        blob = serialize_csf(encode_csf(np.zeros((1, 1, 1, 2), np.float32),
+        blob = serialize_csf(encode_csf(np.zeros((2, 1, 1, 1), np.float32),
                                         "conv"))
         with pytest.raises(CsfFormatError, match="magic"):
             deserialize_csf(b"XSF1" + blob[4:])
 
     def test_bad_version(self):
-        blob = serialize_csf(encode_csf(np.zeros((1, 1, 1, 2), np.float32),
+        blob = serialize_csf(encode_csf(np.zeros((2, 1, 1, 1), np.float32),
                                         "conv"))
         with pytest.raises(CsfFormatError, match="version"):
             deserialize_csf(blob[:4] + struct.pack("<H", 9) + blob[6:])
 
     def test_bad_profile_code(self):
-        blob = serialize_csf(encode_csf(np.zeros((1, 1, 1, 2), np.float32),
+        blob = serialize_csf(encode_csf(np.zeros((2, 1, 1, 1), np.float32),
                                         "conv"))
         with pytest.raises(CsfFormatError, match="profile"):
             deserialize_csf(blob[:6] + b"\x07" + blob[7:])
@@ -367,7 +363,7 @@ class TestSerialization:
                                     [1.0]))
 
     def test_quantized_flag_survives(self):
-        stream = encode_csf(np.ones((1, 1, 1, 2), np.float32), "conv",
+        stream = encode_csf(np.ones((2, 1, 1, 1), np.float32), "conv",
                             quantized=True)
         assert deserialize_csf(serialize_csf(stream)).quantized
 

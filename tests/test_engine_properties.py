@@ -279,7 +279,7 @@ def test_zero_filter_stream_runs():
     # no filter: the set-up type still holds the 3380 positions of 20
     # channels under a 13x13 kernel, which int8 does not
     layer = LayerSpec("none", "conv", 20, 6, 6, 13, 1, 4, 1)
-    stream = encode_csf(np.zeros((20, 13, 13, 0), np.float32), "conv")
+    stream = encode_csf(np.zeros((0, 20, 13, 13), np.float32), "conv")
     out, counters = run_conv(stream, np.ones((20, 6, 6), np.float32), layer)
     assert out.shape == (0, 2, 2)
     assert vars(counters) == vars(stack_trace(0, 3380, 20, 4))
